@@ -55,6 +55,8 @@ class MemoryPool:
         self._allocations: Dict[str, Allocation] = {}
         self._in_use = 0
         self._peak = 0
+        #: Running in-use bytes per category, so usage and peaks are O(1).
+        self._category_usage: Dict[str, int] = {}
         self._category_peaks: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -95,8 +97,10 @@ class MemoryPool:
         self._allocations[tag] = alloc
         self._in_use += alloc.num_bytes
         self._peak = max(self._peak, self._in_use)
-        cat_usage = self.category_usage(category)
-        self._category_peaks[category] = max(self._category_peaks.get(category, 0), cat_usage)
+        cat_usage = self._category_usage.get(category, 0) + alloc.num_bytes
+        self._category_usage[category] = cat_usage
+        if cat_usage > self._category_peaks.get(category, 0):
+            self._category_peaks[category] = cat_usage
         return alloc
 
     def free(self, tag: str) -> None:
@@ -105,6 +109,7 @@ class MemoryPool:
         if alloc is None:
             raise KeyError(f"no allocation named {tag!r} in pool {self.name!r}")
         self._in_use -= alloc.num_bytes
+        self._category_usage[alloc.category] -= alloc.num_bytes
 
     def free_category(self, category: str) -> int:
         """Release every allocation in ``category``; returns bytes freed."""
@@ -119,7 +124,7 @@ class MemoryPool:
         return tag in self._allocations
 
     def category_usage(self, category: str) -> int:
-        return sum(a.num_bytes for a in self._allocations.values() if a.category == category)
+        return self._category_usage.get(category, 0)
 
     def category_peak(self, category: str) -> int:
         return self._category_peaks.get(category, 0)

@@ -17,14 +17,15 @@ checkpoints, so traces come from one of two sources:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..moe.configs import ModelConfig
 
-#: Activated experts of one MoE block evaluation: a sorted list of expert ids.
-BlockActivation = List[int]
+#: Activated experts of one MoE block evaluation: a sorted tuple of distinct
+#: expert ids, immutable so that blocks can be shared.
+BlockActivation = Tuple[int, ...]
 
 #: Activations of every MoE block in one forward pass (encoder pass or one
 #: decoder iteration), indexed by MoE-block position.
@@ -42,9 +43,10 @@ class RequestTrace:
     output_length:
         Number of generated tokens, i.e. decoder iterations.
     encoder_activations:
-        Per-encoder-MoE-block activated experts for the single encoder pass.
+        One :data:`BlockActivation` per encoder MoE block (one encoder pass).
     decode_activations:
-        One :data:`IterationActivations` per decoder iteration.
+        One :data:`IterationActivations` per decoder iteration.  Blocks may
+        be shared between iterations and requests.
     """
 
     input_length: int
@@ -97,10 +99,15 @@ class TraceGenerator:
         #: rebuilds this cumsum on every call; caching it and drawing via
         #: ``random`` + ``searchsorted`` consumes the identical RNG stream
         #: (that is exactly ``choice``'s internal algorithm), so traces are
-        #: bit-identical to the uncached path while generation is ~10x
-        #: faster at decode (one block draw per call).
+        #: bit-identical to the ``choice`` path.
         self._cdf = self._probabilities.cumsum()
         self._cdf /= self._cdf[-1]
+        #: The one shared block of each expert for single-token top-1 draws
+        #: (every decode block at batch 1): indexing this object array by
+        #: the drawn ids yields the blocks without allocating any.
+        self._singletons = np.empty(config.num_experts, dtype=object)
+        for expert in range(config.num_experts):
+            self._singletons[expert] = (expert,)
 
     def _expert_distribution(self) -> np.ndarray:
         num_experts = self.config.num_experts
@@ -111,12 +118,14 @@ class TraceGenerator:
         return weights / weights.sum()
 
     # ------------------------------------------------------------------
-    def block_activation(self, num_tokens: int, top_k: Optional[int] = None) -> BlockActivation:
-        """Distinct experts activated when ``num_tokens`` tokens are routed.
+    def _draw_blocks(self, num_blocks: int, num_tokens: int,
+                     top_k: Optional[int]) -> List[BlockActivation]:
+        """``num_blocks`` successive blocks of ``num_tokens`` tokens each.
 
-        Vectorised over the tokens (the per-token Python loop dominated
-        trace generation for large workloads): top-1 routing is a single
-        categorical draw per block; top-k draws per-token Gumbel keys and
+        One RNG call covers every block: NumPy fills a bulk draw in order
+        from the generator's stream, so ``n`` blocks drawn at once equal
+        ``n`` blocks drawn one after another.  Top-1 routing is a
+        categorical draw per token; top-k draws per-token Gumbel keys and
         takes each row's k largest — the Gumbel-top-k trick, which samples
         exactly the same without-replacement (Plackett–Luce) distribution
         as sequential renormalised draws.
@@ -127,19 +136,26 @@ class TraceGenerator:
         num_experts = self.config.num_experts
         k = min(k, num_experts)
         if k == 1:
-            draws = self._cdf.searchsorted(self._rng.random(num_tokens),
-                                           side="right")
+            experts = self._cdf.searchsorted(
+                self._rng.random(num_blocks * num_tokens), side="right")
             if num_tokens == 1:
-                return [int(draws[0])]
-            return sorted({int(e) for e in draws})
-        keys = self._rng.gumbel(size=(num_tokens, num_experts)) + self._log_probabilities
-        top = np.argpartition(-keys, k - 1, axis=1)[:, :k]
-        return sorted({int(e) for e in top.ravel()})
+                return self._singletons[experts].tolist()
+            experts = experts.reshape(num_blocks, num_tokens)
+        else:
+            keys = self._rng.gumbel(size=(num_blocks * num_tokens, num_experts))
+            keys += self._log_probabilities
+            experts = np.argpartition(-keys, k - 1, axis=1)[:, :k].reshape(
+                num_blocks, num_tokens * k)
+        return [tuple(sorted(set(row))) for row in experts.tolist()]
+
+    def block_activation(self, num_tokens: int, top_k: Optional[int] = None) -> BlockActivation:
+        """Distinct experts activated when ``num_tokens`` tokens are routed."""
+        return self._draw_blocks(1, num_tokens, top_k)[0]
 
     def iteration_activations(self, num_tokens: int, num_moe_blocks: int,
                               top_k: Optional[int] = None) -> IterationActivations:
         """Activations of every MoE block of one forward pass."""
-        return [self.block_activation(num_tokens, top_k=top_k) for _ in range(num_moe_blocks)]
+        return self._draw_blocks(num_moe_blocks, num_tokens, top_k)
 
     def request_trace(self, input_length: int, output_length: int,
                       batch_size: int = 1, top_k: Optional[int] = None) -> RequestTrace:
@@ -148,9 +164,10 @@ class TraceGenerator:
             raise ValueError("input_length and output_length must be >= 1")
         encoder_blocks = self.config.num_moe_blocks("encoder")
         decoder_blocks = self.config.num_moe_blocks("decoder")
-        encoder = self.iteration_activations(input_length * batch_size, encoder_blocks, top_k=top_k)
-        decode = [self.iteration_activations(batch_size, decoder_blocks, top_k=top_k)
-                  for _ in range(output_length)]
+        encoder = self._draw_blocks(encoder_blocks, input_length * batch_size, top_k)
+        blocks = self._draw_blocks(output_length * decoder_blocks, batch_size, top_k)
+        decode = [blocks[i * decoder_blocks:(i + 1) * decoder_blocks]
+                  for i in range(output_length)]
         return RequestTrace(input_length=input_length, output_length=output_length,
                             encoder_activations=encoder, decode_activations=decode)
 
@@ -185,7 +202,7 @@ def trace_from_routing(stack_traces: Sequence[Sequence], input_length: int) -> R
         raise ValueError("empty routing trace")
     encoder_entries = [e for e in stack_traces[0] if e.stack == "encoder"]
     if encoder_entries:
-        encoder = [sorted(e.activated_experts) for e in encoder_entries]
+        encoder = [tuple(sorted(e.activated_experts)) for e in encoder_entries]
         decode_iters = stack_traces[1:]
     else:
         encoder = []
@@ -193,6 +210,6 @@ def trace_from_routing(stack_traces: Sequence[Sequence], input_length: int) -> R
     decode = []
     for iteration in decode_iters:
         decoder_entries = [e for e in iteration if e.stack == "decoder"]
-        decode.append([sorted(e.activated_experts) for e in decoder_entries])
+        decode.append([tuple(sorted(e.activated_experts)) for e in decoder_entries])
     return RequestTrace(input_length=input_length, output_length=len(decode),
                         encoder_activations=encoder, decode_activations=decode)

@@ -1,6 +1,7 @@
 """Tests for memory pools, peak tracking and the memory hierarchy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.system.hardware import PAPER_SYSTEM
 from repro.system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError, TieredMemory
@@ -92,6 +93,45 @@ class TestMemoryPool:
     def test_negative_allocation(self):
         with pytest.raises(ValueError):
             MemoryPool("gpu", 10).allocate("a", -1)
+
+
+CATEGORIES = ("experts", "weights", "kv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("allocate", "free", "free_category",
+                                           "reset_peak")),
+                          st.integers(min_value=0, max_value=7),
+                          st.sampled_from(CATEGORIES),
+                          st.integers(min_value=0, max_value=50)),
+                max_size=60))
+def test_category_totals_match_brute_force(ops):
+    """Running category totals equal a scan of the live allocations."""
+    pool = MemoryPool("gpu", 10_000)
+    live = {}
+    peaks = {}
+    for op, tag_id, category, num_bytes in ops:
+        tag = f"t{tag_id}"
+        if op == "allocate" and tag not in live:
+            pool.allocate(tag, num_bytes, category=category)
+            live[tag] = (category, num_bytes)
+            usage = sum(b for c, b in live.values() if c == category)
+            peaks[category] = max(peaks.get(category, 0), usage)
+        elif op == "free" and tag in live:
+            pool.free(tag)
+            del live[tag]
+        elif op == "free_category":
+            expected = sum(b for c, b in live.values() if c == category)
+            assert pool.free_category(category) == expected
+            live = {t: v for t, v in live.items() if v[0] != category}
+        elif op == "reset_peak":
+            pool.reset_peak()
+            peaks = {}
+        for cat in CATEGORIES:
+            assert pool.category_usage(cat) == sum(
+                b for c, b in live.values() if c == cat)
+            assert pool.category_peak(cat) == peaks.get(cat, 0)
+        assert pool.in_use == sum(b for _, b in live.values())
 
 
 class TestMemoryHierarchy:

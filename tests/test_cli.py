@@ -55,7 +55,7 @@ class TestCli:
         assert main(["simperf", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "peak resident ops" in out
-        for mode in ("no_trace", "kernel", "kernel_replay"):
+        for mode in ("no_trace", "kernel", "kernel_replay", "no_trace_probed"):
             assert mode in out
         # Only --full (the recorded scaling ladder) writes the artifact —
         # a smoke shape must never overwrite the committed trajectory.
@@ -178,12 +178,3 @@ class TestMetricsOut:
         with open(csv_path) as handle:
             rows = list(csv.DictReader(handle))
         assert all(row["probe_samples"] == "-" for row in rows)
-
-
-class TestSimperfProbedMode:
-    def test_quick_run_measures_probed_mode(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["simperf", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "no_trace_probed" in out

@@ -37,7 +37,7 @@ class TestTraceGenerator:
     def test_activations_sorted_unique(self):
         gen = TraceGenerator(CONFIG, seed=2)
         activation = gen.block_activation(num_tokens=50)
-        assert activation == sorted(set(activation))
+        assert activation == tuple(sorted(set(activation)))
 
     def test_request_trace_structure(self):
         gen = TraceGenerator(CONFIG, seed=3)
@@ -81,6 +81,55 @@ class TestTraceGenerator:
         assert a.decode_activations == b.decode_activations
 
 
+def _sequential_block(rng, probabilities, num_tokens, top_k):
+    """One block drawn on its own, as a per-block sampling loop draws it."""
+    if top_k == 1:
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        draws = cdf.searchsorted(rng.random(num_tokens), side="right")
+    else:
+        keys = rng.gumbel(size=(num_tokens, len(probabilities))) + np.log(probabilities)
+        draws = np.argpartition(-keys, top_k - 1, axis=1)[:, :top_k]
+    return tuple(sorted({int(e) for e in draws.ravel()}))
+
+
+class TestBulkSampler:
+    """One bulk RNG draw per request equals the per-block draw sequence."""
+
+    @pytest.mark.parametrize("skew", [0.0, 1.2])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_request_trace_equals_sequential_block_draws(self, top_k, batch_size, skew):
+        gen = TraceGenerator(CONFIG, skew=skew, top_k=top_k, seed=21)
+        traces = [gen.request_trace(5, 6, batch_size=batch_size) for _ in range(2)]
+        tail = gen.iteration_activations(4, 3)
+
+        rng = np.random.default_rng(21)
+        probabilities = gen._expert_distribution()
+        encoder_blocks = CONFIG.num_moe_blocks("encoder")
+        decoder_blocks = CONFIG.num_moe_blocks("decoder")
+        for trace in traces:
+            encoder = [_sequential_block(rng, probabilities, 5 * batch_size, top_k)
+                       for _ in range(encoder_blocks)]
+            decode = [[_sequential_block(rng, probabilities, batch_size, top_k)
+                       for _ in range(decoder_blocks)] for _ in range(6)]
+            assert trace.encoder_activations == encoder
+            assert trace.decode_activations == decode
+        assert tail == [_sequential_block(rng, probabilities, 4, top_k)
+                        for _ in range(3)]
+
+    def test_single_token_blocks_are_shared_tuples(self):
+        gen = TraceGenerator(CONFIG, skew=1.2, top_k=1, seed=22)
+        blocks = [block for trace in gen.workload(3, input_length=4, output_length=16)
+                  for iteration in trace.decode_activations for block in iteration]
+        blocks += gen.iteration_activations(1, 8) + [gen.block_activation(1)]
+        first = {}
+        for block in blocks:
+            assert type(block) is tuple and len(block) == 1
+            assert first.setdefault(block, block) is block
+        assert len(first) < len(blocks)
+
+
 class TestExpectedDistinctExperts:
     def test_single_token(self):
         assert expected_distinct_experts(1, 64) == pytest.approx(1.0)
@@ -113,6 +162,8 @@ class TestTraceFromRouting:
             assert len(iteration) == config.num_moe_blocks("decoder")
             for block in iteration:
                 assert all(0 <= e < config.num_experts for e in block)
+                assert block == tuple(sorted(set(block)))
+        assert all(type(block) is tuple for block in request.encoder_activations)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
