@@ -5,24 +5,22 @@ measures the simulator: how many simulated requests per wall-clock second
 the continuous-batching scheduler sustains at growing request counts, and
 how many timeline ops stay resident while it runs.  Four serving modes are
 compared on one decode-heavy scenario (the paper's per-request batch-size-1
-serving mode, long generations):
+serving mode, long generations); every mode runs the columnar timeline
+kernel (:class:`~repro.system.timeline.ArrayTimeline`), each round emitted
+as one op batch and committed in a single kernel call:
 
-* ``trace`` — the Figure 9 mode: scalar op-at-a-time timeline, every op
-  kept for rendering/export (memory O(total ops));
-* ``no_trace`` — the scalar production path of earlier revisions:
-  incremental aggregates only, ops retired round by round (memory O(active
-  window));
-* ``kernel`` — the batched columnar timeline engine
-  (:class:`~repro.system.timeline.ArrayTimeline`): each round emitted as
-  one op batch and committed in a single kernel call;
+* ``trace`` — the Figure 9 mode: the kernel with ``record_trace=True``,
+  every op kept for rendering/export (memory O(total ops));
+* ``kernel`` — incremental aggregates only, ops retired round by round
+  (memory O(active window));
 * ``kernel_replay`` — the kernel plus steady-state round replay
   (:class:`~repro.serving.scheduler._RoundReplay`): structurally identical
   decode rounds are fast-forwarded in closed form instead of re-simulated;
-* ``no_trace_probed`` — ``no_trace`` with the sampled observability probes
+* ``kernel_probed`` — ``kernel`` with the sampled observability probes
   (:class:`~repro.obs.probes.ServingProbes`) enabled, pinning the probe
-  layer's overhead against the same throughput floor.
+  layer's overhead against the kernel's throughput floor.
 
-All the modes simulate the *same* execution: trace/no-trace/kernel are
+All the modes simulate the *same* execution: trace/kernel/probed are
 bit-identical, and replay matches them to 1e-9 on every load metric (the
 parity tests pin both).  The benchmark records throughput and peak-resident
 ops for each mode into ``BENCH_simperf.json`` so regressions in either
@@ -65,12 +63,13 @@ SEED = 0
 TRACE_POOL = 400
 
 #: Request counts of the recorded scaling sweep.  The trace mode only runs
-#: at the smallest count (it keeps every op in memory); the scalar modes
-#: stop at 16k (they are the slow baselines being replaced); the kernel +
-#: replay engine runs the full ladder up to the million-request rung.
+#: at the smallest count (it keeps every op in memory); the replay-off
+#: modes stop at 16k (they are the slow baselines replay is measured
+#: against); the kernel + replay engine runs the full ladder up to the
+#: million-request rung.
 FULL_SIZES: Dict[int, Sequence[str]] = {
-    1_600: ("trace", "no_trace", "kernel", "kernel_replay"),
-    16_000: ("no_trace", "no_trace_probed", "kernel", "kernel_replay"),
+    1_600: ("trace", "kernel", "kernel_replay"),
+    16_000: ("kernel", "kernel_probed", "kernel_replay"),
     100_000: ("kernel_replay",),
     1_000_000: ("kernel_replay",),
 }
@@ -96,25 +95,19 @@ PLACEMENT_REQUESTS_QUICK = 80
 
 #: Serving-mode knobs, keyed by mode name.
 MODES: Dict[str, Dict[str, object]] = {
-    "trace": {"timeline_engine": "scalar", "round_replay": False,
-              "record_trace": True},
-    "no_trace": {"timeline_engine": "scalar", "round_replay": False,
-                 "record_trace": False},
-    "kernel": {"timeline_engine": "array", "round_replay": False,
-               "record_trace": False},
-    "kernel_replay": {"timeline_engine": "array", "round_replay": True,
-                      "record_trace": False},
-    # no_trace with the sampled probe layer on — measured so the
-    # observability overhead is pinned against the same floor as no_trace
-    # (the probes must stay within ~10% of it).
-    "no_trace_probed": {"timeline_engine": "scalar", "round_replay": False,
-                        "record_trace": False, "probe_interval": 1.0},
+    "trace": {"round_replay": False, "record_trace": True},
+    "kernel": {"round_replay": False, "record_trace": False},
+    "kernel_replay": {"round_replay": True, "record_trace": False},
+    # kernel with the sampled probe layer on — measured so the
+    # observability overhead is pinned against the kernel's floor.
+    "kernel_probed": {"round_replay": False, "record_trace": False,
+                      "probe_interval": 1.0},
 }
 
 #: CI floors: a quick run's throughput below these fails the perf smoke
 #: job (values are ~0.25x the measurements on the recording machine, so
-#: honest slowdowns trip them but CI-runner jitter does not).
-NO_TRACE_FLOOR_REQ_PER_S = 4.0
+#: honest slowdowns trip them but CI-runner jitter does not).  The probed
+#: mode is held to the kernel floor.
 KERNEL_FLOOR_REQ_PER_S = 8.0
 KERNEL_REPLAY_FLOOR_REQ_PER_S = 80.0
 
@@ -188,9 +181,9 @@ def run_simperf(quick: bool = False, full: bool = False,
                 num_requests: Optional[int] = None) -> Dict[str, object]:
     """Measure the serving modes; returns the ``BENCH_simperf.json`` payload.
 
-    ``quick`` serves :data:`QUICK_REQUESTS` requests through the no-trace,
-    kernel and kernel+replay modes (the CI smoke shape); the default serves
-    :data:`DEFAULT_REQUESTS` through all four; ``full`` runs the recorded
+    ``quick`` serves :data:`QUICK_REQUESTS` requests through the kernel,
+    kernel+probes and kernel+replay modes (the CI smoke shape); the default
+    serves :data:`DEFAULT_REQUESTS` through all four; ``full`` runs the recorded
     1.6k/16k/100k/1M scaling ladder of :data:`FULL_SIZES` (minutes of wall
     time — the artifact-regeneration path, not a CI job).  Every shape also
     runs the :data:`PLACEMENTS` rungs (kernel vs kernel+replay on cached /
@@ -202,7 +195,7 @@ def run_simperf(quick: bool = False, full: bool = False,
     else:
         requests = num_requests if num_requests is not None else (
             QUICK_REQUESTS if quick else DEFAULT_REQUESTS)
-        modes = (("no_trace", "no_trace_probed", "kernel", "kernel_replay")
+        modes = (("kernel", "kernel_probed", "kernel_replay")
                  if quick else tuple(MODES))
         sizes = {requests: modes}
         placement_requests = (PLACEMENT_REQUESTS_QUICK if quick
@@ -242,7 +235,6 @@ def run_simperf(quick: bool = False, full: bool = False,
             "output_length": PLACEMENT_OUTPUT_LENGTH,
         },
         "floors": {
-            "no_trace_req_per_s": NO_TRACE_FLOOR_REQ_PER_S,
             "kernel_req_per_s": KERNEL_FLOOR_REQ_PER_S,
             "kernel_replay_req_per_s": KERNEL_REPLAY_FLOOR_REQ_PER_S,
         },
@@ -250,14 +242,6 @@ def run_simperf(quick: bool = False, full: bool = False,
         "scaling": scaling,
         "placements": placements,
     }
-    speedups = {}
-    for size, by_mode in scaling.items():
-        if "no_trace" in by_mode and "kernel_replay" in by_mode:
-            base = by_mode["no_trace"]["simulated_requests_per_second"]
-            fast = by_mode["kernel_replay"]["simulated_requests_per_second"]
-            if base > 0:
-                speedups[size] = fast / base
-    payload["kernel_replay_speedup_over_no_trace"] = speedups
     over_kernel: Dict[str, Dict[str, float]] = {"scaling": {},
                                                 "placements": {}}
     for size, by_mode in scaling.items():

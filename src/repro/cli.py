@@ -13,7 +13,7 @@ CI runs and the quickest way to see the simulator end-to-end without pytest:
   metrics optionally exported via ``--metrics-out``;
 * ``simperf`` — the simulator's own performance (simulated requests per
   wall-clock second, peak resident op count) across the serving-engine
-  modes (trace / no-trace / kernel / kernel+replay / probed) plus the
+  modes (trace / kernel / kernel+replay / kernel+probes) plus the
   cached / multi-GPU placement rungs; ``--full`` runs the recorded
   1.6k/16k/100k/1M scaling ladder and rewrites ``BENCH_simperf.json``,
   and quick runs fail if any mode's throughput drops below its recorded
@@ -209,12 +209,11 @@ def run_simperf_sweep(quick: bool, workers: Optional[int] = None,
                            row["total_ops"], row["peak_resident_ops"],
                            row["replay_rounds"])
     floors = payload["floors"]
-    # The probed mode shares the no-trace floor: the sampled probe layer
-    # must not cost a no-trace run more than the floor's jitter headroom.
+    # The probed mode shares the kernel floor: the sampled probe layer
+    # must not cost a kernel run more than the floor's jitter headroom.
     floor_by_mode = {
-        "no_trace": floors["no_trace_req_per_s"],
-        "no_trace_probed": floors["no_trace_req_per_s"],
         "kernel": floors["kernel_req_per_s"],
+        "kernel_probed": floors["kernel_req_per_s"],
         "kernel_replay": floors["kernel_replay_req_per_s"],
     }
     for size, by_mode in payload["scaling"].items():

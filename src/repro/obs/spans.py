@@ -11,10 +11,8 @@ knows each pass's first/last op indices and the committed start/end arrays
 of every round (:meth:`ArrayTimeline.commit_batch` returns them), so span
 construction reads a handful of floats per pass out of data that exists
 anyway — no op objects, no name strings, no trace retention.  The cost is
-that span recording works only with the array timeline engine (the scalar
-path never materialises per-round columns) and stands down round replay
-(a fast-forwarded window has no per-round spans to record) — both enforced
-by the scheduler's knob validation.
+that span recording stands down round replay (a fast-forwarded window has
+no per-round spans to record).
 
 Spans are plain data: :class:`Span` rows in a flat list with parent
 indices (index 0 is the root), collected per request into

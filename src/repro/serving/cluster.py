@@ -125,7 +125,6 @@ class ReplicaCluster:
                  expert_weights: Optional[Sequence[float]] = None,
                  interconnect: Optional[LinkSpec] = None,
                  record_trace: bool = False,
-                 timeline_engine: str = "array",
                  round_replay: bool = True,
                  probe_interval: Optional[float] = None,
                  span_log: bool = False,
@@ -150,7 +149,6 @@ class ReplicaCluster:
         self.num_gpus = num_gpus
         self.shard_policy = shard_policy
         self.record_trace = record_trace
-        self.timeline_engine = timeline_engine
         self.round_replay = round_replay
         self.probe_interval = probe_interval
         self.span_log = span_log
@@ -170,7 +168,6 @@ class ReplicaCluster:
                                         expert_weights=expert_weights,
                                         interconnect=interconnect,
                                         record_trace=record_trace,
-                                        timeline_engine=timeline_engine,
                                         round_replay=round_replay,
                                         probe_interval=probe_interval,
                                         span_log=span_log)

@@ -1,9 +1,10 @@
 """Serving engines for the four MoE inference system designs.
 
-Each engine simulates single-GPU serving of a (paper-scale) Switch-
-Transformer configuration on a :class:`~repro.system.hardware.SystemSpec`,
-using the dual-stream :class:`~repro.system.timeline.ExecutionTimeline` to
-model the interaction between GPU compute and CPU→GPU expert migration:
+Each engine simulates serving of a (paper-scale) Switch-Transformer
+configuration on a :class:`~repro.system.hardware.SystemSpec`, scheduling
+each pass's ops on a multi-stream timeline
+(:class:`~repro.system.timeline.ArrayTimeline` by default) to model the
+interaction between GPU compute and CPU→GPU expert migration:
 
 * :class:`GPUOnlyEngine` — the oracular baseline: every parameter resident
   in GPU memory, no expert migration (OOMs when the model does not fit).
@@ -19,9 +20,11 @@ model the interaction between GPU compute and CPU→GPU expert migration:
 The engine itself is the *request-lifecycle* layer of the serving stack: it
 composes a :class:`~repro.serving.placement.ModelPlacement` (parameter
 storage policy) with an :class:`~repro.serving.simulator.IterationSimulator`
-(per-iteration timeline simulation) and runs requests end-to-end, one at a
-time.  The continuous-batching path that interleaves many in-flight requests
-lives in :mod:`repro.serving.scheduler`, built from the same two layers.
+(per-iteration op emission) and runs requests end-to-end, one at a time:
+each pass is emitted as one op batch, committed to the timeline, and its
+per-block latencies are read back from the committed start/end times.  The
+continuous-batching path that interleaves many in-flight requests lives in
+:mod:`repro.serving.scheduler`, built from the same two layers.
 
 The engines consume expert-activation traces
 (:class:`~repro.workloads.traces.RequestTrace`) and emit the same metrics
@@ -32,18 +35,19 @@ in tokens/second and peak GPU memory usage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..moe.configs import ModelConfig, get_config
 from ..system.cache import ExpertCache
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import ExecutionTimeline
+from ..system.timeline import ArrayTimeline, ExecutionTimeline, OpBatch
 from ..workloads.traces import IterationActivations, RequestTrace
-from .metrics import IterationResult, RequestResult, WorkloadResult
+from .metrics import (BlockLatencyRecord, IterationResult, RequestResult,
+                      WorkloadResult)
 from .placement import DEFAULT_RUNTIME_WORKSPACE_BYTES, ModelPlacement
-from .simulator import IterationSimulator
+from .simulator import EmittedPass, IterationSimulator
 
 
 @dataclass
@@ -141,36 +145,74 @@ class ServingEngine:
             return self._carry[1]
         return []
 
+    def _run_pass(self, part: str, iteration: int,
+                  timeline: Optional[ExecutionTimeline],
+                  emit: Callable[[OpBatch, List[int]], EmittedPass]
+                  ) -> IterationResult:
+        """Emit one pass as an op batch, commit it and read back latencies.
+
+        ``emit(batch, extra_deps)`` appends the pass's ops to ``batch``.
+
+        A block's latency runs from the end of its input (the preceding
+        non-MoE op) to the end of the op completing the block; its exposed
+        transfer time is the worst stall of any expert-execution op behind
+        compute-side readiness — the last compute op before execution, or
+        for a remote device the arrival of its dispatched tokens.
+        """
+        self.load_model()
+        timeline = timeline if timeline is not None else ArrayTimeline()
+        start = timeline.makespan
+        batch = timeline.begin_batch()
+        emitted = emit(batch, self._consume_carry(timeline))
+        starts, ends = timeline.commit_batch(batch)
+        self._carry = (timeline, list(emitted.carry_deps))
+        starts, ends = starts.tolist(), ends.tolist()
+        base = batch.base_id
+        devices = batch.device
+        records = []
+        for (block, num_active, input_id, ready_id, end_id, exec_ids,
+             dispatch_id) in emitted.blocks:
+            ready = ends[ready_id - base]
+            exposed = 0.0
+            for exec_id in exec_ids:
+                exec_ready = ready
+                if dispatch_id >= 0 and devices[exec_id - base] != 0:
+                    exec_ready = max(ready, ends[dispatch_id - base])
+                exposed = max(exposed, starts[exec_id - base] - exec_ready)
+            records.append(BlockLatencyRecord(
+                part=part, iteration=iteration, block_index=block,
+                latency=ends[end_id - base] - ends[input_id - base],
+                num_active_experts=num_active, exposed_transfer_time=exposed))
+        return IterationResult(part=part, iteration=iteration,
+                               duration=timeline.makespan - start,
+                               block_latencies=records)
+
     def run_decoder_iteration(self, activations: IterationActivations,
                               query_tokens: int = 1, self_kv_tokens: int = 1,
                               cross_kv_tokens: int = 32,
                               timeline: Optional[ExecutionTimeline] = None,
                               iteration: int = 0) -> IterationResult:
         """Simulate a single decoder iteration (all decoder layers, one token)."""
-        self.load_model()
-        timeline = timeline if timeline is not None else ExecutionTimeline()
-        outcome = self.simulator.decoder_iteration(
-            timeline, activations, query_tokens=query_tokens,
-            self_kv_tokens=self_kv_tokens, cross_kv_tokens=cross_kv_tokens,
-            iteration=iteration, extra_deps=self._consume_carry(timeline))
-        self._carry = (timeline, list(outcome.carry_deps))
-        return outcome.result
+        return self._run_pass(
+            "decoder", iteration, timeline,
+            lambda batch, carry: self.simulator.emit_decoder_iteration(
+                batch, activations, query_tokens=query_tokens,
+                self_kv_tokens=self_kv_tokens,
+                cross_kv_tokens=cross_kv_tokens, iteration=iteration,
+                extra_deps=carry))
 
     def run_encoder_pass(self, activations: IterationActivations, input_tokens: int,
                          timeline: Optional[ExecutionTimeline] = None) -> IterationResult:
         """Simulate the encoder pass over ``input_tokens`` tokens."""
-        self.load_model()
-        timeline = timeline if timeline is not None else ExecutionTimeline()
-        outcome = self.simulator.encoder_pass(
-            timeline, activations, input_tokens,
-            extra_deps=self._consume_carry(timeline))
-        self._carry = (timeline, list(outcome.carry_deps))
-        return outcome.result
+        return self._run_pass(
+            "encoder", 0, timeline,
+            lambda batch, carry: self.simulator.emit_encoder_pass(
+                batch, activations, input_tokens, extra_deps=carry))
 
     def run_request(self, trace: RequestTrace) -> RequestResult:
         """Serve one request end-to-end: encoder pass + all decoder iterations."""
         self.load_model()
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline()
         iterations: List[IterationResult] = []
 
         encoder_result = self.run_encoder_pass(

@@ -3,14 +3,15 @@
 Where :class:`~repro.serving.engine.ServingEngine` serves one request
 end-to-end on a private timeline, the scheduler serves a *stream* of
 timestamped requests on one shared
-:class:`~repro.system.timeline.ExecutionTimeline`, iteration-interleaved in
-the style of Orca's continuous batching:
+:class:`~repro.system.timeline.ArrayTimeline`, iteration-interleaved in the
+style of Orca's continuous batching:
 
 * requests are admitted as they arrive, up to ``max_batch_size`` in flight;
 * each scheduling **round** advances every in-flight request by one unit —
   its encoder (prefill) pass the first time, one decoder iteration after —
   so a newly arrived request starts decoding without waiting for older
-  requests to finish;
+  requests to finish; the round's ops are emitted as one
+  :class:`~repro.system.timeline.OpBatch` and committed in one kernel call;
 * within a round, expert transfers are deduplicated across requests via
   :class:`~repro.serving.simulator.SharedExpertRound`: concurrent requests
   that activate the same expert of the same block share a single CPU→GPU
@@ -47,13 +48,11 @@ from ..obs.probes import ServingProbes
 from ..obs.spans import (CAT_DECODE as SPAN_DECODE, CAT_FETCH as SPAN_FETCH,
                          CAT_PREFILL as SPAN_PREFILL, CAT_STAGE as SPAN_STAGE,
                          PassFetch, SpanLog)
-from ..system.cache import ExpertCache
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import OutOfMemoryError
 from ..system.performance import GpuLatencyModel
 from ..system.timeline import (_COMPUTE_CODE, STREAMS, ArrayTimeline,
-                               ExecutionTimeline, OpBatch, Stream,
-                               TIMELINE_ENGINES, make_timeline)
+                               OpBatch, Stream)
 from ..workloads.arrivals import LoadSpec, TimedRequest, generate_timed_requests
 from ..workloads.generator import WorkloadSpec
 from ..workloads.traces import RequestTrace
@@ -93,7 +92,7 @@ class _InFlightRequest:
 class _RoundRecord:
     """Everything round replay needs about one executed decode round.
 
-    Captured by the batched round path when the round is replay-eligible
+    Captured by the round path when the round is replay-eligible
     (decode-only, no carried cross-pass deps, no cache/stage state).  The
     :class:`~repro.system.timeline.OpBatch` is kept by reference — its
     columns are the round's structural template.
@@ -142,7 +141,7 @@ def _quad_eval(coeffs: Tuple[float, float, float], m: np.ndarray) -> np.ndarray:
 class _RoundReplay:
     """Steady-state decode-round fast-forward controller.
 
-    Watches the batched round path for runs of **structurally identical**
+    Watches the round path for runs of **structurally identical**
     decode rounds (same requests, same op columns: streams, devices,
     categories, bytes, dependency pattern).  Op *durations* are allowed to
     drift affinely with the round index — that is exactly what growing KV
@@ -673,11 +672,6 @@ class ContinuousBatchingScheduler:
         runs the residency machinery but retains nothing — byte- and
         time-identical to the uncached scheduler (the parity tests pin it).
         Ignored for the ``gpu_only`` design, which never migrates experts.
-    cache:
-        A legacy :class:`~repro.system.cache.ExpertCache` may be passed
-        instead of the knobs; its policy name and capacity are adopted into
-        a shared residency map (the per-request cache object itself cannot
-        track cross-request pinning, so only its configuration is used).
     stage_policy / stage_capacity:
         Enable the host-DRAM staging cache for SSD offload (``SSD_SYSTEM``):
         a second :class:`~repro.system.residency.ExpertResidency` holding up
@@ -702,22 +696,12 @@ class ContinuousBatchingScheduler:
         loads fit in RAM.  ``True`` keeps the full op trace (Figure 9
         rendering / ``to_records`` export).  Every reported load metric is
         identical in both modes — the parity tests pin them to 1e-9.
-    timeline_engine:
-        ``"array"`` (default) runs rounds through the batched columnar
-        timeline kernel (:class:`~repro.system.timeline.ArrayTimeline`):
-        each round's ops are emitted as one
-        :class:`~repro.system.timeline.OpBatch` and scheduled with
-        vectorised aggregate folds.  ``"scalar"`` keeps the op-at-a-time
-        reference path.  Both produce bit-identical schedules — the parity
-        tests pin every metric across engines.
     round_replay:
-        With the array engine in no-trace mode on cache-free, stage-free
-        placements, detect steady-state decode rounds and fast-forward them
-        in closed form (see :class:`_RoundReplay`).  Exact by construction:
-        replay only applies when the extrapolation provably matches what
-        step-by-step execution would produce.  Ignored (never fires) with
-        the scalar engine, trace recording, caches, staging or span
-        logging.
+        Detect steady-state decode rounds and fast-forward them in closed
+        form (see :class:`_RoundReplay`).  Exact by construction: replay
+        only applies when the extrapolation provably matches what
+        step-by-step execution would produce.  Stands down (never fires)
+        with trace recording or span logging.
     probe_interval:
         Enable the sampled probe layer: every ``probe_interval`` simulated
         seconds (measured at round boundaries — see
@@ -731,14 +715,13 @@ class ContinuousBatchingScheduler:
         Record a per-request span tree (queue → prefill → decode
         iterations → expert fetches with source-tier and stage hit/miss
         attribution) on ``result.spans``.  Assembled from each round's
-        committed op columns, so it works in no-trace mode; requires the
-        array timeline engine and stands down round replay.
+        committed op columns, so it works in no-trace mode; stands down
+        round replay.
     """
 
     def __init__(self, design: str, config: "ModelConfig | str",
                  system: SystemSpec = PAPER_SYSTEM,
                  latency_model: Optional[GpuLatencyModel] = None,
-                 cache: Optional[ExpertCache] = None,
                  engine_config: Optional[EngineConfig] = None,
                  max_batch_size: int = 8,
                  cache_policy: Optional[str] = None,
@@ -750,7 +733,6 @@ class ContinuousBatchingScheduler:
                  expert_weights: Optional[Sequence[float]] = None,
                  interconnect: Optional[LinkSpec] = None,
                  record_trace: bool = False,
-                 timeline_engine: str = "array",
                  round_replay: bool = True,
                  probe_interval: Optional[float] = None,
                  span_log: bool = False) -> None:
@@ -758,25 +740,9 @@ class ContinuousBatchingScheduler:
             raise ValueError(f"unknown design {design!r}; known: {sorted(_ENGINES)}")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if timeline_engine not in TIMELINE_ENGINES:
-            raise ValueError(
-                f"unknown timeline_engine {timeline_engine!r}; "
-                f"known: {sorted(TIMELINE_ENGINES)}")
         if probe_interval is not None and probe_interval <= 0:
             raise ValueError(
                 f"probe_interval must be > 0 (or None), got {probe_interval}")
-        if span_log and timeline_engine != "array":
-            raise ValueError(
-                "span_log needs the array timeline engine: spans are "
-                "assembled from each round's committed op columns, which "
-                "the scalar path never materialises")
-        if cache is not None:
-            if cache_policy is not None or cache_capacity is not None:
-                raise ValueError(
-                    "pass either a legacy ExpertCache or cache_policy/"
-                    "cache_capacity, not both")
-            cache_policy = cache.policy.name
-            cache_capacity = cache.capacity
         if num_gpus is not None or interconnect is not None:
             system = system.with_num_gpus(
                 num_gpus if num_gpus is not None else system.num_gpus,
@@ -788,7 +754,6 @@ class ContinuousBatchingScheduler:
         self.engine_config = engine_config or EngineConfig()
         self.max_batch_size = max_batch_size
         self.record_trace = record_trace
-        self.timeline_engine = timeline_engine
         self.round_replay = round_replay
         self.probe_interval = probe_interval
         self.span_log = span_log
@@ -807,7 +772,7 @@ class ContinuousBatchingScheduler:
             activation_level=self.engine_config.activation_level)
         #: Timeline of the most recent :meth:`serve` call (rendering /
         #: aggregate inspection; a full op trace only with ``record_trace``).
-        self.last_timeline: Optional[ExecutionTimeline] = None
+        self.last_timeline: Optional[ArrayTimeline] = None
         #: Replay controller of the most recent :meth:`serve` call (None
         #: when the configuration makes replay ineligible).
         self.last_replay: Optional[_RoundReplay] = None
@@ -856,20 +821,16 @@ class ContinuousBatchingScheduler:
             result.oom_reason = str(exc)
             return result
 
-        timeline = make_timeline(self.timeline_engine,
-                                 record_trace=self.record_trace)
+        timeline = ArrayTimeline(record_trace=self.record_trace)
         self.last_timeline = timeline
-        batched = isinstance(timeline, ArrayTimeline)
-        # Round replay needs the batched kernel's column template and no
-        # trace/span rows to materialise.  Cached, staged and multi-GPU
-        # placements are handled by the signature itself: residency hit/miss
-        # outcomes and shard ownership join the round signature, and the
-        # controller only fast-forwards windows over which every map's
-        # resident set is a fixed point and its policy state advances by an
-        # identical replayable delta each round.
+        # Round replay needs no trace/span rows to materialise.  Cached,
+        # staged and multi-GPU placements are handled by the signature
+        # itself: residency hit/miss outcomes and shard ownership join the
+        # round signature, and the controller only fast-forwards windows
+        # over which every map's resident set is a fixed point and its
+        # policy state advances by an identical replayable delta each round.
         replay: Optional[_RoundReplay] = None
-        if (batched and self.round_replay and not self.record_trace
-                and not self.span_log):
+        if self.round_replay and not self.record_trace and not self.span_log:
             replay = _RoundReplay(self)
         self.last_replay = replay
         probes = (ServingProbes(self.probe_interval)
@@ -877,8 +838,8 @@ class ContinuousBatchingScheduler:
         spans = SpanLog() if self.span_log else None
         logged_spans: List = []
         if spans is not None:
-            # Install the fetch-attribution hook; drained once per round by
-            # the batched path, uninstalled when serving ends.
+            # Install the fetch-attribution hook; drained once per round,
+            # uninstalled when serving ends.
             self.placement.route_log = []
         pending = deque(sorted(timed, key=lambda r: (r.arrival_time, r.request_id)))
         active: List[_InFlightRequest] = []
@@ -903,10 +864,7 @@ class ContinuousBatchingScheduler:
                 replayed = (replay is not None and replay.ready()
                             and replay.try_apply(timeline, active, pending))
                 if not replayed:
-                    if batched:
-                        self._run_round_batched(timeline, active, replay, spans)
-                    else:
-                        self._run_round(timeline, active)
+                    self._run_round_batched(timeline, active, replay, spans)
                     if probes is not None:
                         probes.observe_round(timeline.num_ops - ops_before)
                 # One-pass rebuild of the in-flight list; removing finished
@@ -970,39 +928,20 @@ class ContinuousBatchingScheduler:
         return result
 
     # ------------------------------------------------------------------
-    def _run_round(self, timeline: ExecutionTimeline,
-                   active: Sequence[_InFlightRequest]) -> None:
-        """Advance every in-flight request by one unit, sharing transfers."""
-        batch_round = (self.prefetcher.begin_round()
-                       if self.prefetcher is not None else SharedExpertRound())
-        # Register every member's planned transfers first so an expert stays
-        # resident until its last user in the round has executed; the plans
-        # are reused for the simulation itself below.  With a cache, the
-        # registration also pins every already-resident expert the plans
-        # rely on, so no mid-round eviction can invalidate a plan.
-        plans = []
-        for state in active:
-            part, activations = self._next_unit(state)
-            plan = self.simulator.make_plan(part, activations)
-            batch_round.register_plan(self.placement, part, plan, activations)
-            plans.append(plan)
-        try:
-            for state, plan in zip(active, plans):
-                self._advance(timeline, state, batch_round, plan)
-        finally:
-            batch_round.drain(self.placement)
-
     def _run_round_batched(self, timeline: ArrayTimeline,
                            active: Sequence[_InFlightRequest],
                            replay: Optional[_RoundReplay],
                            spans: Optional[SpanLog] = None) -> None:
         """Advance every in-flight request by one unit as one op batch.
 
-        The columnar twin of :meth:`_run_round`: the same plans, the same
-        transfer sharing, the same op stream — but emitted into one
-        :class:`~repro.system.timeline.OpBatch` and scheduled by the array
-        kernel's single commit.  Replay-eligible rounds (pure decode, no
-        carried cross-pass deps) are recorded for :class:`_RoundReplay`.
+        Every member's plan is made and registered before any op is
+        emitted, so an expert stays resident until its last user in the
+        round has executed (with a cache, registration also pins the
+        already-resident experts the plans rely on, so no mid-round
+        eviction can invalidate a plan).  The round's ops go into one
+        :class:`~repro.system.timeline.OpBatch`, scheduled by the kernel's
+        single commit.  Replay-eligible rounds (pure decode, no carried
+        cross-pass deps) are recorded for :class:`_RoundReplay`.
         """
         batch_round = (self.prefetcher.begin_round()
                        if self.prefetcher is not None else SharedExpertRound())
@@ -1136,8 +1075,7 @@ class ContinuousBatchingScheduler:
                 source_tier=tier, stage_hit=hit))
         return fetches
 
-    def _sample_probes(self, probes: ServingProbes,
-                       timeline: Union[ExecutionTimeline, ArrayTimeline],
+    def _sample_probes(self, probes: ServingProbes, timeline: ArrayTimeline,
                        now: float, queue_depth: int, active_requests: int,
                        replay: Optional[_RoundReplay]) -> None:
         """Record one sample of every serving gauge at sim-time ``now``."""
@@ -1166,30 +1104,6 @@ class ContinuousBatchingScheduler:
             return "encoder", state.trace.encoder_activations
         return "decoder", state.trace.decode_activations[state.next_decode]
 
-    def _advance(self, timeline: ExecutionTimeline, state: _InFlightRequest,
-                 batch_round: SharedExpertRound, plan) -> None:
-        label = f"r{state.timed.request_id}."
-        start_at = state.timed.arrival_time if state.first_scheduled_time is None else 0.0
-        if not state.prefilled:
-            outcome = self.simulator.encoder_pass(
-                timeline, state.trace.encoder_activations, state.trace.input_length,
-                start_at=start_at, batch_round=batch_round, label=label, plan=plan,
-                extra_deps=state.pending_deps)
-            state.prefilled = True
-        else:
-            step = state.next_decode
-            outcome = self.simulator.decoder_iteration(
-                timeline, state.trace.decode_activations[step],
-                query_tokens=1, self_kv_tokens=step + 1,
-                cross_kv_tokens=state.trace.input_length, iteration=step,
-                start_at=start_at, batch_round=batch_round, label=label, plan=plan,
-                extra_deps=state.pending_deps)
-            state.next_decode += 1
-            state.token_times.append(outcome.end)
-        state.pending_deps = list(outcome.carry_deps)
-        if state.first_scheduled_time is None:
-            state.first_scheduled_time = outcome.first_start
-
     def _finalise(self, state: _InFlightRequest, replica: int) -> ServedRequestResult:
         trace = state.trace
         return ServedRequestResult(
@@ -1217,7 +1131,6 @@ def serve_load(design: str, config: "ModelConfig | str", load: LoadSpec,
                expert_weights: Optional[Sequence[float]] = None,
                interconnect: Optional[LinkSpec] = None,
                record_trace: bool = False,
-               timeline_engine: str = "array",
                round_replay: bool = True,
                probe_interval: Optional[float] = None,
                span_log: bool = False) -> LoadTestResult:
@@ -1248,7 +1161,6 @@ def serve_load(design: str, config: "ModelConfig | str", load: LoadSpec,
                                             expert_weights=expert_weights,
                                             interconnect=interconnect,
                                             record_trace=record_trace,
-                                            timeline_engine=timeline_engine,
                                             round_replay=round_replay,
                                             probe_interval=probe_interval,
                                             span_log=span_log)
@@ -1269,7 +1181,6 @@ def make_scheduler(design: str, config: "ModelConfig | str",
                    expert_weights: Optional[Sequence[float]] = None,
                    interconnect: Optional[LinkSpec] = None,
                    record_trace: bool = False,
-                   timeline_engine: str = "array",
                    round_replay: bool = True,
                    probe_interval: Optional[float] = None,
                    span_log: bool = False) -> ContinuousBatchingScheduler:
@@ -1286,7 +1197,6 @@ def make_scheduler(design: str, config: "ModelConfig | str",
                                        expert_weights=expert_weights,
                                        interconnect=interconnect,
                                        record_trace=record_trace,
-                                       timeline_engine=timeline_engine,
                                        round_replay=round_replay,
                                        probe_interval=probe_interval,
                                        span_log=span_log)

@@ -1,12 +1,14 @@
-"""Per-iteration simulation layer: one stack pass on an execution timeline.
+"""Per-iteration simulation layer: one stack pass emitted as timeline ops.
 
 Second of the three serving layers (placement → per-iteration simulation →
-request lifecycle).  An :class:`IterationSimulator` walks one encoder pass or
-one decoder iteration for a given design, appending compute and copy ops to
-an :class:`~repro.system.timeline.ExecutionTimeline`.  It is deliberately
-stateless across calls so that a request scheduler can interleave iterations
-from *different* in-flight requests onto one shared timeline (continuous
-batching) — the per-request lifecycle state lives in the caller
+request lifecycle).  An :class:`IterationSimulator` emits the ops of one
+encoder pass or one decoder iteration for a given design — compute, copy,
+stage and interconnect ops with their dependencies — as columns into an
+:class:`~repro.system.timeline.OpBatch`; the owning timeline schedules them
+when the batch is committed.  The simulator is deliberately stateless
+across calls so that a request scheduler can interleave iterations from
+*different* in-flight requests into one round batch on a shared timeline
+(continuous batching) — the per-request lifecycle state lives in the caller
 (:class:`~repro.serving.engine.ServingEngine` for the one-request-at-a-time
 path, :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
 batched path).
@@ -38,14 +40,18 @@ from ..core.pregate import PreGateSchedule
 from ..moe.configs import ModelConfig
 from ..system.hardware import SystemSpec
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import (STREAM_CODE, ExecutionTimeline, OpBatch,
-                               Stream, TimelineOp, category_code)
+from ..system.timeline import STREAM_CODE, OpBatch, Stream, category_code
 from ..workloads.traces import IterationActivations
-from .metrics import BlockLatencyRecord, IterationResult
 from .placement import ModelPlacement
 
 #: Key identifying one migratable expert: (global block index, expert id).
 ExpertKey = Tuple[int, int]
+
+#: Per-MoE-block op anchors of an emitted pass, as global op ids: (block
+#: index, activated-expert count, the last non-MoE compute op before the
+#: gate, the last compute op before expert execution, the op completing the
+#: block, the expert-execution ops, the all-to-all dispatch op or -1).
+BlockAnchors = Tuple[int, int, int, int, int, Sequence[int], int]
 
 # Stream / category codes used by the columnar emission path.
 _COMPUTE = STREAM_CODE[Stream.COMPUTE]
@@ -138,34 +144,13 @@ class SharedExpertRound:
 
 
 @dataclass
-class StackPassResult:
-    """Outcome of simulating one stack traversal."""
-
-    records: List[BlockLatencyRecord] = field(default_factory=list)
-    first_op: Optional[TimelineOp] = None
-    last_op: Optional[TimelineOp] = None
-    #: Op ids the next op after this pass must depend on explicitly: the
-    #: final block's all-to-all combine when it landed off device 0's
-    #: compute lane (expert-parallel replicas only; empty single-GPU).
-    carry_deps: List[int] = field(default_factory=list)
-
-    @property
-    def start(self) -> float:
-        return self.first_op.start if self.first_op is not None else 0.0
-
-    @property
-    def end(self) -> float:
-        return self.last_op.end if self.last_op is not None else 0.0
-
-
-@dataclass
 class EmittedPass:
-    """Batch-relative anchors of one stack pass emitted as columns.
+    """Anchors of one stack pass emitted as columns.
 
-    The batched (array-kernel) twin of :class:`StackPassResult`: op *times*
-    do not exist until the owning timeline commits the batch, so the
-    emission returns indices into the batch — the scheduler reads
-    ``starts[first_index]`` / ``ends[last_index]`` after the commit.
+    Op *times* do not exist until the owning timeline commits the batch, so
+    the emission returns indices into the batch — callers read
+    ``starts[first_index]`` / ``ends[last_index]`` after the commit, and
+    per-block latencies from :attr:`blocks`.
     """
 
     #: Index (within the batch) of the pass's first op, -1 if none emitted.
@@ -175,18 +160,8 @@ class EmittedPass:
     #: Global op ids the request's next pass must depend on (trailing
     #: all-to-all combine; empty single-GPU and after a decoder iteration).
     carry_deps: List[int] = field(default_factory=list)
-
-
-@dataclass
-class IterationOutcome:
-    """An :class:`IterationResult` plus the timeline anchors the scheduler needs."""
-
-    result: IterationResult
-    first_start: float
-    end: float
-    #: Cross-lane ordering the request's *next* stack pass must declare
-    #: (a trailing all-to-all combine; empty for single-GPU replicas).
-    carry_deps: List[int] = field(default_factory=list)
+    #: One :data:`BlockAnchors` tuple per MoE block, in block order.
+    blocks: List[BlockAnchors] = field(default_factory=list)
 
 
 class IterationSimulator:
@@ -224,7 +199,7 @@ class IterationSimulator:
         return self.design != "gpu_only"
 
     # ------------------------------------------------------------------
-    # Memoised latency lookups (batched emission path)
+    # Memoised latency lookups
     # ------------------------------------------------------------------
     def _nonmoe_duration(self, part: str, query_tokens: int,
                          self_kv_tokens: int, cross_kv_tokens: int) -> float:
@@ -325,360 +300,7 @@ class IterationSimulator:
         return 1
 
     # ------------------------------------------------------------------
-    # Core simulation of one stack traversal
-    # ------------------------------------------------------------------
-    def simulate_stack_pass(
-        self,
-        timeline: ExecutionTimeline,
-        part: str,
-        iteration: int,
-        activations: IterationActivations,
-        query_tokens: int,
-        self_kv_tokens: int,
-        cross_kv_tokens: Optional[int],
-        start_at: float = 0.0,
-        batch_round: Optional[SharedExpertRound] = None,
-        label: str = "",
-        plan: Optional[MigrationPlan] = None,
-        extra_deps: Optional[Sequence[int]] = None,
-    ) -> StackPassResult:
-        """Walk one stack (encoder pass or one decoder iteration).
-
-        Ops are appended to ``timeline``; the compute stream is FIFO so
-        consecutive layers serialise automatically, while expert transfers
-        land on the copy stream with explicit dependencies implementing each
-        design's selection→migration→execution ordering.  ``start_at`` gates
-        the pass on the owning request's arrival time; ``batch_round``
-        enables cross-request expert-transfer dedup; ``label`` prefixes op
-        names so interleaved requests stay distinguishable in traces;
-        ``plan`` supplies a precomputed migration plan (the scheduler already
-        planned each round member for dedup registration) instead of
-        re-planning here; ``extra_deps`` are op ids this pass's first compute
-        op must wait for (the same request's trailing combine from its
-        previous pass on an expert-parallel replica).
-        """
-        config = self.config
-        placement = self.placement
-        moe_positions = placement.moe_positions(part)
-        num_layers = (config.num_encoder_layers if part == "encoder"
-                      else config.num_decoder_layers)
-        num_blocks = len(moe_positions)
-        outcome = StackPassResult()
-
-        if plan is None:
-            plan = self.make_plan(part, activations)
-        transfers_by_issue = plan.by_issue_block()
-
-        schedule = None
-        if self.design == "pregated" and num_blocks > 0:
-            schedule = PreGateSchedule(num_blocks=num_blocks,
-                                       activation_level=self.activation_level)
-
-        gate_time = self.latency.gate_time(config, query_tokens)
-        #: Per-target-block list of (op_id, owning device) for issued fetches.
-        transfer_ops_by_target: Dict[int, List[Tuple[int, int]]] = {}
-        allocation_tags: Dict[int, List[str]] = {}
-        last_compute_op: Optional[TimelineOp] = None
-        moe_block_cursor = 0
-        #: Cross-lane ordering the next device-0 compute op must declare:
-        #: the previous MoE block's combine op (expert-parallel only), seeded
-        #: with the caller's carry-over from the request's previous pass.
-        carry_deps: List[int] = list(extra_deps or [])
-
-        def add_compute(name: str, duration: float, depends_on=None,
-                        category: str = "compute") -> TimelineOp:
-            deps = list(depends_on or [])
-            if carry_deps:
-                deps.extend(carry_deps)
-                carry_deps.clear()
-            op = timeline.add_compute(
-                f"{label}{name}", duration, depends_on=deps, category=category,
-                earliest_start=start_at if outcome.first_op is None else 0.0)
-            if outcome.first_op is None:
-                outcome.first_op = op
-            outcome.last_op = op
-            return op
-
-        for layer in range(num_layers):
-            # --- non-MoE portion of the transformer block -------------
-            if part == "encoder":
-                nonmoe = self.latency.encoder_layer_nonmoe_time(config, query_tokens)
-            else:
-                nonmoe = self.latency.decoder_layer_nonmoe_time(
-                    config, query_tokens, self_kv_tokens, cross_kv_tokens or self_kv_tokens)
-            last_compute_op = add_compute(
-                f"{part}{iteration}.layer{layer}.attention", nonmoe, category="non_moe")
-
-            if layer not in moe_positions:
-                # Dense FFN layer.
-                ffn = self.latency.ffn_time(config, query_tokens)
-                last_compute_op = add_compute(
-                    f"{part}{iteration}.layer{layer}.ffn", ffn, category="non_moe")
-                continue
-
-            # --- MoE block --------------------------------------------
-            block = moe_block_cursor
-            moe_block_cursor += 1
-            input_ready = last_compute_op.end if last_compute_op else 0.0
-
-            # (1) Expert-selection stage: gate / pre-gate / first-gate ops.
-            num_gates = self._gates_evaluated_at(block, schedule)
-            if num_gates > 0:
-                last_compute_op = add_compute(
-                    f"{part}{iteration}.moe{block}.gate", num_gates * gate_time,
-                    category="gate")
-
-            # (2) Issue expert migrations whose selection happened here.
-            issued = transfers_by_issue.get(block, [])
-            if issued and self.offloads_experts:
-                to_issue = []
-                for transfer in issued:
-                    key = (placement.global_block_index(part, transfer.block_index),
-                           transfer.expert_id)
-                    if batch_round is not None and batch_round.is_fetched(key):
-                        # Already satisfied: fetched by another request of this
-                        # round (share the migration, depend on its copy op) or
-                        # resident in the shared cache (no dependency needed).
-                        dedup_op = batch_round.copy_op(key)
-                        if dedup_op is not None:
-                            transfer_ops_by_target.setdefault(
-                                transfer.block_index, []).append(
-                                    (dedup_op, placement.owner_device(transfer.expert_id)))
-                        continue
-                    to_issue.append((transfer, key))
-                if to_issue:
-                    sync_op = add_compute(
-                        f"{part}{iteration}.moe{block}.issue_transfers",
-                        self.system.host_sync_overhead, category="sync")
-                    last_compute_op = sync_op
-                    for transfer, key in to_issue:
-                        # The placement routes the fetch through the tier
-                        # path: a stage miss with a DRAM stage splits into an
-                        # SSD→DRAM read on the stage stream plus a dependent
-                        # PCIe op carrying the pipelined remainder.  The
-                        # route's device is the shard owning the expert; its
-                        # copy/stage lanes carry the fetch.
-                        route = placement.route_fetch(key, transfer)
-                        base = (f"{label}{part}{iteration}"
-                                f".moe{transfer.block_index}")
-                        deps = [sync_op.op_id]
-                        if route.stage_duration > 0.0:
-                            stage_op = timeline.add_stage(
-                                f"{base}.stage_expert{transfer.expert_id}",
-                                route.stage_duration, depends_on=deps,
-                                device=route.device, num_bytes=transfer.bytes)
-                            deps = [stage_op.op_id]
-                        copy_op = timeline.add_copy(
-                            f"{base}.fetch_expert{transfer.expert_id}",
-                            route.copy_duration, depends_on=deps,
-                            category="expert_transfer", device=route.device,
-                            num_bytes=transfer.bytes)
-                        transfer_ops_by_target.setdefault(
-                            transfer.block_index, []).append(
-                                (copy_op.op_id, route.device))
-                        if batch_round is not None:
-                            batch_round.fetch(placement, part, transfer, key,
-                                              copy_op.op_id)
-                        else:
-                            tag = placement.allocate_expert(
-                                part, transfer.block_index, transfer.expert_id)
-                            allocation_tags.setdefault(transfer.block_index, []).append(tag)
-
-            # (3) Expert-execution stage: waits for this block's transfers.
-            activated = activations[block] if block < len(activations) else []
-            block_transfer_ops = transfer_ops_by_target.get(block, [])
-            ready_before_exec = last_compute_op.end if last_compute_op else 0.0
-            if not self.multi_device:
-                num_active = max(1, len(activated))
-                exec_time = self.latency.expert_execution_time(
-                    config, query_tokens, num_active)
-                exec_op = add_compute(
-                    f"{part}{iteration}.moe{block}.experts", exec_time,
-                    depends_on=[op_id for op_id, _ in block_transfer_ops],
-                    category="expert_execution")
-                last_compute_op = exec_op
-                block_end = exec_op
-                exposed = max(0.0, exec_op.start - ready_before_exec)
-            else:
-                block_end, device0_exec, exposed = self._execute_sharded_block(
-                    timeline, part, iteration, block, activated, query_tokens,
-                    block_transfer_ops, last_compute_op, carry_deps, label)
-                if device0_exec is not None:
-                    last_compute_op = device0_exec
-                outcome.last_op = block_end
-
-            outcome.records.append(BlockLatencyRecord(
-                part=part, iteration=iteration, block_index=block,
-                latency=block_end.end - input_ready,
-                num_active_experts=len(activated),
-                exposed_transfer_time=exposed))
-
-            # (4) Release (or retain) this block's experts.
-            if batch_round is not None:
-                for key in batch_round.release_keys(placement, part, plan,
-                                                    activations, block):
-                    batch_round.release(placement, key)
-            else:
-                placement.release_block_experts(
-                    part, block, allocation_tags.get(block, []), activated)
-
-        outcome.carry_deps = list(carry_deps)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Expert-parallel block execution
-    # ------------------------------------------------------------------
-    def _execute_sharded_block(self, timeline: ExecutionTimeline, part: str,
-                               iteration: int, block: int,
-                               activated, query_tokens: int,
-                               block_transfer_ops: List[Tuple[int, int]],
-                               last_compute_op: Optional[TimelineOp],
-                               carry_deps: List[int],
-                               label: str) -> Tuple[TimelineOp, Optional[TimelineOp], float]:
-        """Execute one MoE block across the devices owning its experts.
-
-        Tokens are dispatched from device 0 (where the gate ran) to every
-        remote device owning activated experts, each participating device
-        executes its share on its own compute lane, and the results combine
-        back — dispatch and combine are transfers on the interconnect
-        stream, sized from the activation counts, so they overlap with the
-        expert fetches in flight on the copy lanes.  Returns the op that
-        completes the block, device 0's exec op (``None`` when device 0
-        owns no activated expert) and the block's exposed transfer time —
-        the worst per-device stall between compute-side readiness (the
-        gate, or token arrival via dispatch for remote devices) and expert
-        execution, i.e. migration latency left unhidden, mirroring the
-        single-GPU definition.  Appends cross-lane ordering for the next
-        compute op to ``carry_deps``.
-        """
-        config = self.config
-        placement = self.placement
-        counts: Dict[int, int] = {}
-        for expert in activated:
-            device = placement.owner_device(int(expert))
-            counts[device] = counts.get(device, 0) + 1
-        if not counts:
-            # No activated expert recorded: the dispatch-overhead-only
-            # evaluation runs on device 0, mirroring the single-GPU path.
-            counts = {0: 0}
-        total_active = max(1, len(activated))
-        # Token routing estimate from the gating activations: query_tokens
-        # tokens each pick top_k experts, spread evenly over the activated
-        # set; assignments landing on remote devices cross the interconnect
-        # (once to dispatch, once to combine).
-        token_assignments = query_tokens * config.top_k
-        remote_share = sum(n for d, n in counts.items() if d != 0) / total_active
-        alltoall_bytes = token_assignments * remote_share * self._token_bytes
-        base = f"{label}{part}{iteration}.moe{block}"
-        participating = set(counts)
-        leftover_deps = [op_id for op_id, dev in block_transfer_ops
-                         if dev not in participating]
-
-        dispatch_op = None
-        if alltoall_bytes > 0:
-            gate_deps = [last_compute_op.op_id] if last_compute_op is not None else []
-            dispatch_op = timeline.add_interconnect(
-                f"{base}.dispatch", self.topology.all_to_all_time(alltoall_bytes),
-                depends_on=gate_deps, num_bytes=alltoall_bytes)
-            placement.record_alltoall(alltoall_bytes)
-
-        exec_ops: List[TimelineOp] = []
-        device0_exec: Optional[TimelineOp] = None
-        gate_ready = last_compute_op.end if last_compute_op is not None else 0.0
-        exposed = 0.0
-        for device in sorted(counts):
-            exec_time = self.latency.expert_execution_time(
-                config, query_tokens, max(1, counts[device]))
-            deps = [op_id for op_id, dev in block_transfer_ops if dev == device]
-            if device != 0 and dispatch_op is not None:
-                deps.append(dispatch_op.op_id)
-            if device == 0 and dispatch_op is None:
-                # Sole-device block: adopt the transfers of non-participating
-                # shards too, matching the single-GPU "execution waits for
-                # every one of the block's transfers" semantics.
-                deps.extend(leftover_deps)
-                leftover_deps = []
-            op = timeline.add_compute(
-                f"{base}.experts", exec_time, depends_on=deps,
-                category="expert_execution", device=device)
-            exec_ops.append(op)
-            # The device is compute-ready once the gate has run and (for
-            # remote shards) its tokens have arrived; any further wait is a
-            # stall on expert fetches — exposed migration latency.
-            ready = gate_ready
-            if device != 0 and dispatch_op is not None:
-                ready = max(ready, dispatch_op.end)
-            exposed = max(exposed, op.start - ready)
-            if device == 0:
-                device0_exec = op
-        exposed = max(0.0, exposed)
-
-        if dispatch_op is None:
-            return exec_ops[0], device0_exec, exposed
-        combine_op = timeline.add_interconnect(
-            f"{base}.combine", self.topology.all_to_all_time(alltoall_bytes),
-            depends_on=[op.op_id for op in exec_ops] + leftover_deps,
-            num_bytes=alltoall_bytes)
-        placement.record_alltoall(alltoall_bytes)
-        carry_deps.append(combine_op.op_id)
-        return combine_op, device0_exec, exposed
-
-    # ------------------------------------------------------------------
-    # Whole-iteration helpers shared by the engine and the scheduler
-    # ------------------------------------------------------------------
-    def decoder_iteration(self, timeline: ExecutionTimeline,
-                          activations: IterationActivations,
-                          query_tokens: int = 1, self_kv_tokens: int = 1,
-                          cross_kv_tokens: int = 32, iteration: int = 0,
-                          start_at: float = 0.0,
-                          batch_round: Optional[SharedExpertRound] = None,
-                          label: str = "",
-                          plan: Optional[MigrationPlan] = None,
-                          extra_deps: Optional[Sequence[int]] = None) -> IterationOutcome:
-        """One decoder iteration (all decoder layers plus the LM head)."""
-        start = timeline.makespan
-        pass_result = self.simulate_stack_pass(
-            timeline, "decoder", iteration, activations,
-            query_tokens=query_tokens, self_kv_tokens=self_kv_tokens,
-            cross_kv_tokens=cross_kv_tokens, start_at=start_at,
-            batch_round=batch_round, label=label, plan=plan,
-            extra_deps=extra_deps)
-        lm_head = self.latency.lm_head_time(self.config, query_tokens)
-        # The LM head consumes any trailing combine of the final MoE block.
-        lm_op = timeline.add_compute(
-            f"{label}decoder{iteration}.lm_head", lm_head, category="non_moe",
-            depends_on=pass_result.carry_deps,
-            earliest_start=start_at if pass_result.first_op is None else 0.0)
-        result = IterationResult(part="decoder", iteration=iteration,
-                                 duration=timeline.makespan - start,
-                                 block_latencies=pass_result.records)
-        first = pass_result.first_op.start if pass_result.first_op is not None else lm_op.start
-        return IterationOutcome(result=result, first_start=first, end=lm_op.end)
-
-    def encoder_pass(self, timeline: ExecutionTimeline,
-                     activations: IterationActivations, input_tokens: int,
-                     start_at: float = 0.0,
-                     batch_round: Optional[SharedExpertRound] = None,
-                     label: str = "",
-                     plan: Optional[MigrationPlan] = None,
-                     extra_deps: Optional[Sequence[int]] = None) -> IterationOutcome:
-        """The encoder pass over ``input_tokens`` tokens."""
-        start = timeline.makespan
-        pass_result = self.simulate_stack_pass(
-            timeline, "encoder", 0, activations,
-            query_tokens=input_tokens, self_kv_tokens=input_tokens,
-            cross_kv_tokens=None, start_at=start_at,
-            batch_round=batch_round, label=label, plan=plan,
-            extra_deps=extra_deps)
-        result = IterationResult(part="encoder", iteration=0,
-                                 duration=timeline.makespan - start,
-                                 block_latencies=pass_result.records)
-        return IterationOutcome(result=result, first_start=pass_result.start,
-                                end=pass_result.end,
-                                carry_deps=list(pass_result.carry_deps))
-
-    # ------------------------------------------------------------------
-    # Columnar emission (array-kernel hot path)
+    # Columnar emission of one stack traversal
     # ------------------------------------------------------------------
     def emit_stack_pass(
         self,
@@ -695,15 +317,25 @@ class IterationSimulator:
         plan: Optional[MigrationPlan] = None,
         extra_deps: Optional[Sequence[int]] = None,
     ) -> EmittedPass:
-        """Columnar twin of :meth:`simulate_stack_pass`.
+        """Emit one stack traversal (encoder pass or decoder iteration).
 
-        Emits *exactly* the ops the scalar walk would add — same order,
-        durations, dependencies, categories, devices and bytes — as columns
-        into ``batch``, without constructing :class:`TimelineOp` objects or
-        (in no-trace mode) op-name strings.  Placement side effects (fetch
-        routing, shared-slot allocation, transfer stats) happen here, in the
-        scalar order; op times exist only once the owning timeline commits
-        the batch.  The parity test matrix pins the two paths to each other.
+        Ops are appended to ``batch`` as columns (op-name strings only when
+        the owning timeline records a trace).  The compute lane is FIFO so
+        consecutive layers serialise automatically, while expert transfers
+        land on the copy lane with explicit dependencies implementing each
+        design's selection→migration→execution ordering.  Placement side
+        effects (fetch routing, slot allocation, transfer stats) happen here,
+        in emission order; op times exist only once the owning timeline
+        commits the batch.
+
+        ``start_at`` gates the pass on the owning request's arrival time;
+        ``batch_round`` enables cross-request expert-transfer dedup;
+        ``label`` prefixes op names so interleaved requests stay
+        distinguishable in traces; ``plan`` supplies a precomputed migration
+        plan (the scheduler already planned each round member for dedup
+        registration); ``extra_deps`` are op ids this pass's first compute op
+        must wait for (the same request's trailing combine from its previous
+        pass on an expert-parallel replica).
         """
         config = self.config
         placement = self.placement
@@ -722,10 +354,14 @@ class IterationSimulator:
         names = batch.record_names
         base_id = batch.base_id
         emitted = EmittedPass(first_index=-1, last_index=-1)
+        #: Per-target-block list of (op_id, owning device) for issued fetches.
         transfer_ops_by_target: Dict[int, List[Tuple[int, int]]] = {}
         allocation_tags: Dict[int, List[str]] = {}
         last_compute_id = -1
         moe_block_cursor = 0
+        #: Cross-lane ordering the next device-0 compute op must declare:
+        #: the previous MoE block's combine op (expert-parallel only), seeded
+        #: with the caller's carry-over from the request's previous pass.
         carry_deps: List[int] = list(extra_deps or [])
         batch_add = batch.add
 
@@ -764,7 +400,9 @@ class IterationSimulator:
             # --- MoE block --------------------------------------------
             block = moe_block_cursor
             moe_block_cursor += 1
+            input_ready_id = last_compute_id
 
+            # (1) Expert-selection stage: gate / pre-gate / first-gate ops.
             num_gates = self._gates_evaluated_at(block, schedule)
             if num_gates > 0:
                 last_compute_id = add_compute(
@@ -772,6 +410,7 @@ class IterationSimulator:
                     if names else None, num_gates * gate_time,
                     category=CAT_GATE)
 
+            # (2) Issue expert migrations whose selection happened here.
             issued = transfers_by_issue.get(block, [])
             if issued and self.offloads_experts:
                 to_issue = []
@@ -779,6 +418,10 @@ class IterationSimulator:
                     key = (placement.global_block_index(part, transfer.block_index),
                            transfer.expert_id)
                     if batch_round is not None and batch_round.is_fetched(key):
+                        # Already satisfied: fetched by another request of
+                        # this round (share the migration, depend on its
+                        # copy op) or resident in the shared cache (no
+                        # dependency needed).
                         dedup_op = batch_round.copy_op(key)
                         if dedup_op is not None:
                             transfer_ops_by_target.setdefault(
@@ -794,6 +437,12 @@ class IterationSimulator:
                         category=CAT_SYNC)
                     last_compute_id = sync_id
                     for transfer, key in to_issue:
+                        # The placement routes the fetch through the tier
+                        # path: a stage miss with a DRAM stage splits into
+                        # an SSD→DRAM read on the stage stream plus a
+                        # dependent PCIe op carrying the pipelined
+                        # remainder.  The route's device is the shard owning
+                        # the expert; its copy/stage lanes carry the fetch.
                         route = placement.route_fetch(key, transfer)
                         deps: List[int] = [sync_id]
                         if route.stage_duration > 0.0:
@@ -826,24 +475,33 @@ class IterationSimulator:
                             allocation_tags.setdefault(
                                 transfer.block_index, []).append(tag)
 
+            # (3) Expert-execution stage: waits for this block's transfers.
             activated = activations[block] if block < len(activations) else []
             block_transfer_ops = transfer_ops_by_target.get(block, [])
+            exec_ready_id = last_compute_id
             if not self.multi_device:
                 exec_time = self._exec_duration(query_tokens,
                                                 max(1, len(activated)))
-                last_compute_id = add_compute(
+                last_compute_id = block_end_id = add_compute(
                     f"{label}{part}{iteration}.moe{block}.experts"
                     if names else None, exec_time,
                     deps=[op_id for op_id, _ in block_transfer_ops],
                     category=CAT_EXPERT_EXECUTION)
+                exec_ids: Sequence[int] = (block_end_id,)
+                dispatch_id = -1
             else:
-                block_end_id, device0_exec_id = self._emit_sharded_block(
+                (block_end_id, device0_exec_id, exec_ids,
+                 dispatch_id) = self._emit_sharded_block(
                     batch, part, iteration, block, activated, query_tokens,
                     block_transfer_ops, last_compute_id, carry_deps, label)
                 if device0_exec_id >= 0:
                     last_compute_id = device0_exec_id
                 emitted.last_index = block_end_id - base_id
+            emitted.blocks.append((block, len(activated), input_ready_id,
+                                   exec_ready_id, block_end_id, exec_ids,
+                                   dispatch_id))
 
+            # (4) Release (or retain) this block's experts.
             if batch_round is not None:
                 for key in batch_round.release_keys(placement, part, plan,
                                                     activations, block):
@@ -859,8 +517,21 @@ class IterationSimulator:
                             block: int, activated, query_tokens: int,
                             block_transfer_ops: List[Tuple[int, int]],
                             last_compute_id: int, carry_deps: List[int],
-                            label: str) -> Tuple[int, int]:
-        """Columnar twin of :meth:`_execute_sharded_block` (ids, not ops)."""
+                            label: str
+                            ) -> Tuple[int, int, List[int], int]:
+        """Execute one MoE block across the devices owning its experts.
+
+        Tokens are dispatched from device 0 (where the gate ran) to every
+        remote device owning activated experts, each participating device
+        executes its share on its own compute lane, and the results combine
+        back — dispatch and combine are transfers on the interconnect
+        stream, sized from the activation counts, so they overlap with the
+        expert fetches in flight on the copy lanes.  Returns the op id that
+        completes the block, device 0's exec op id (-1 when device 0 owns
+        no activated expert), every exec op id and the dispatch op id (-1
+        when no token crosses the interconnect).  Appends cross-lane
+        ordering for the next compute op to ``carry_deps``.
+        """
         config = self.config
         placement = self.placement
         counts: Dict[int, int] = {}
@@ -868,8 +539,14 @@ class IterationSimulator:
             device = placement.owner_device(int(expert))
             counts[device] = counts.get(device, 0) + 1
         if not counts:
+            # No activated expert recorded: the dispatch-overhead-only
+            # evaluation runs on device 0, mirroring the single-GPU path.
             counts = {0: 0}
         total_active = max(1, len(activated))
+        # Token routing estimate from the gating activations: query_tokens
+        # tokens each pick top_k experts, spread evenly over the activated
+        # set; assignments landing on remote devices cross the interconnect
+        # (once to dispatch, once to combine).
         token_assignments = query_tokens * config.top_k
         remote_share = sum(n for d, n in counts.items() if d != 0) / total_active
         alltoall_bytes = token_assignments * remote_share * self._token_bytes
@@ -897,6 +574,9 @@ class IterationSimulator:
             if device != 0 and dispatch_id >= 0:
                 deps.append(dispatch_id)
             if device == 0 and dispatch_id < 0:
+                # Sole-device block: adopt the transfers of non-participating
+                # shards too, matching the single-GPU "execution waits for
+                # every one of the block's transfers" semantics.
                 deps.extend(leftover_deps)
                 leftover_deps = []
             op_id = batch.add(_COMPUTE, exec_time, deps=deps,
@@ -906,14 +586,14 @@ class IterationSimulator:
             if device == 0:
                 device0_exec_id = op_id
         if dispatch_id < 0:
-            return exec_ids[0], device0_exec_id
+            return exec_ids[0], device0_exec_id, exec_ids, dispatch_id
         combine_id = batch.add(
             _INTERCONNECT, self.topology.all_to_all_time(alltoall_bytes),
             deps=exec_ids + leftover_deps, category=CAT_ALLTOALL,
             num_bytes=alltoall_bytes, name=f"{base}.combine" if names else None)
         placement.record_alltoall(alltoall_bytes)
         carry_deps.append(combine_id)
-        return combine_id, device0_exec_id
+        return combine_id, device0_exec_id, exec_ids, dispatch_id
 
     def emit_decoder_iteration(self, batch: OpBatch,
                                activations: IterationActivations,
@@ -924,7 +604,7 @@ class IterationSimulator:
                                label: str = "",
                                plan: Optional[MigrationPlan] = None,
                                extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:
-        """Columnar twin of :meth:`decoder_iteration` (pass + LM head)."""
+        """One decoder iteration (all decoder layers plus the LM head)."""
         emitted = self.emit_stack_pass(
             batch, "decoder", iteration, activations,
             query_tokens=query_tokens, self_kv_tokens=self_kv_tokens,
@@ -939,7 +619,9 @@ class IterationSimulator:
             if batch.record_names else None)
         lm_index = lm_id - batch.base_id
         first = emitted.first_index if emitted.first_index >= 0 else lm_index
-        return EmittedPass(first_index=first, last_index=lm_index)
+        # The LM head consumed the trailing combine: nothing carries over.
+        return EmittedPass(first_index=first, last_index=lm_index,
+                           blocks=emitted.blocks)
 
     def emit_encoder_pass(self, batch: OpBatch,
                           activations: IterationActivations,
@@ -948,7 +630,7 @@ class IterationSimulator:
                           label: str = "",
                           plan: Optional[MigrationPlan] = None,
                           extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:
-        """Columnar twin of :meth:`encoder_pass`."""
+        """The encoder pass over ``input_tokens`` tokens."""
         return self.emit_stack_pass(
             batch, "encoder", 0, activations, query_tokens=input_tokens,
             self_kv_tokens=input_tokens, cross_kv_tokens=None,

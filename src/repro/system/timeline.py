@@ -341,10 +341,10 @@ class ExecutionTimeline:
     def commit_batch(self, batch: OpBatch) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve and fold in a batch; returns (starts, ends) arrays.
 
-        The scalar engine's reference implementation simply replays the
-        batch through :meth:`add`, one op at a time — bit-identical to
-        having never batched.  :class:`ArrayTimeline` overrides this with
-        the vectorized kernel.
+        This reference implementation replays the batch through
+        :meth:`add`, one op at a time — bit-identical to having never
+        batched.  :class:`ArrayTimeline` overrides it with the columnar
+        kernel.
         """
         if batch.base_id != self._next_op_id:
             raise RuntimeError(
@@ -720,12 +720,12 @@ class ArrayTimeline(ExecutionTimeline):
     intra-batch deps.
 
     Start times are the same ``max(dep ready, lane free, earliest_start)``
-    chain the scalar engine computes, in the same order, so all *time*
-    results (starts, ends, makespan, token clocks) are bit-identical to
-    :class:`ExecutionTimeline`.  Summed aggregates (lane busy time, category
-    durations) are folded per batch with :func:`numpy.bincount` instead of
-    per op, which reassociates the float additions — the parity tests pin
-    them to the scalar engine at 1e-9.
+    chain the per-op :class:`ExecutionTimeline` reference computes, in the
+    same order, so all *time* results (starts, ends, makespan, token
+    clocks) are bit-identical to it.  Summed aggregates (lane busy time,
+    category durations) are folded per batch with :func:`numpy.bincount`
+    instead of per op, which reassociates the float additions — the parity
+    tests pin them to the reference at 1e-9.
 
     With ``record_trace=True`` each committed op is also appended to
     preallocated, growable per-lane column arrays (:class:`_LaneStore`);
@@ -828,7 +828,7 @@ class ArrayTimeline(ExecutionTimeline):
             live_info[base + i] = (end, s_code)
             if s_code == _COMPUTE_CODE:
                 # Online exposed-copy accounting, same definition as the
-                # scalar engine: stall beyond compute-side readiness.
+                # per-op reference: stall beyond compute-side readiness.
                 stall_floor = free
                 if compute_ready > stall_floor:
                     stall_floor = compute_ready
@@ -968,20 +968,3 @@ class ArrayTimeline(ExecutionTimeline):
             self._live[op.op_id] = op
         self._trace_dirty = False
 
-
-#: Timeline engine registry: scheduler knob value → constructor.
-TIMELINE_ENGINES = {
-    "scalar": ExecutionTimeline,
-    "array": ArrayTimeline,
-}
-
-
-def make_timeline(engine: str, record_trace: bool = True) -> ExecutionTimeline:
-    """Construct a timeline by engine name (``scalar`` or ``array``)."""
-    try:
-        factory = TIMELINE_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown timeline engine {engine!r}; "
-            f"known: {sorted(TIMELINE_ENGINES)}") from None
-    return factory(record_trace=record_trace)

@@ -13,7 +13,7 @@ from repro.obs.spans import (
     PassFetch,
     SpanLog,
 )
-from repro.serving.scheduler import make_scheduler, serve_load
+from repro.serving.scheduler import serve_load
 from repro.system.hardware import SSD_SYSTEM
 from repro.workloads.arrivals import POISSON_QA_LOAD
 from repro.workloads.generator import WorkloadSpec
@@ -120,11 +120,6 @@ class TestSchedulerSpanLogging:
                             span_log=True, round_replay=True)
         assert result.replay_windows == 0
         assert result.spans is not None
-
-    def test_span_log_requires_array_engine(self):
-        with pytest.raises(ValueError, match="array timeline engine"):
-            make_scheduler("pregated", "switch_base_64",
-                           timeline_engine="scalar", span_log=True)
 
     def test_spans_off_by_default(self):
         result = serve_load("pregated", "switch_base_64", POISSON_QA_LOAD,

@@ -23,6 +23,13 @@ def make_stack(design="ondemand", capacity=64, policy="lru"):
     return placement, simulator, prefetcher
 
 
+def decode(simulator, timeline, activations, **kwargs):
+    """Emit one decoder iteration as a batch and commit it to ``timeline``."""
+    batch = timeline.begin_batch()
+    simulator.emit_decoder_iteration(batch, activations, **kwargs)
+    timeline.commit_batch(batch)
+
+
 def activations_for(seed=6):
     return TraceGenerator(CONFIG, seed=seed).iteration_activations(
         1, CONFIG.num_moe_blocks("decoder"))
@@ -39,9 +46,8 @@ class TestPrefetchRound:
         for _ in range(3):
             batch_round.register_plan(placement, "decoder", plan, activations)
         for request_id in range(3):
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"r{request_id}.")
+            decode(simulator, timeline, activations,
+                   batch_round=batch_round, label=f"r{request_id}.")
         copies = timeline.ops_by_category("expert_transfer")
         unique = sum(len(block) for block in activations)
         assert len(copies) == unique               # one migration per expert
@@ -58,9 +64,9 @@ class TestPrefetchRound:
             batch_round = prefetcher.begin_round()
             plan = simulator.make_plan("decoder", activations)
             batch_round.register_plan(placement, "decoder", plan, activations)
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"it{round_index}.", plan=plan)
+            decode(simulator, timeline, activations,
+                   batch_round=batch_round, label=f"it{round_index}.",
+                   plan=plan)
             batch_round.drain(placement)
         unique = sum(len(block) for block in activations)
         copies = timeline.ops_by_category("expert_transfer")
@@ -96,8 +102,8 @@ class TestPrefetchRound:
         timeline = ExecutionTimeline()
         batch_round = prefetcher.begin_round()
         batch_round.register_plan(placement, "decoder", plan, activations)
-        simulator.decoder_iteration(timeline, activations,
-                                    batch_round=batch_round, plan=plan)
+        decode(simulator, timeline, activations,
+               batch_round=batch_round, plan=plan)
         batch_round.drain(placement)
         assert len(placement.residency) == 0
         assert placement.gpu_pool.category_usage("experts") == 0

@@ -52,7 +52,6 @@ def serve_pair(design, kwargs, requests, max_batch_size=2):
     for replay in (False, True):
         scheduler = make_scheduler(design, CONFIG,
                                    max_batch_size=max_batch_size,
-                                   timeline_engine="array",
                                    round_replay=replay, **kwargs)
         results.append(scheduler.serve(list(requests)))
     return results

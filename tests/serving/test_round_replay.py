@@ -9,8 +9,6 @@ form instead of re-simulating each one.  These tests pin its contract:
   1e-9 on the makespan, every request's token clock, device utilisation
   and the byte/op counters (which must be *exactly* equal: replay may
   only skip rounds it can reproduce, never approximate counters);
-* the scalar engine and the array kernel are bit-identical (replay's
-  baseline is itself exact);
 * replay engages across the whole placement matrix — plain single-GPU,
   multi-GPU shards, DRAM staging and expert caches under every eviction
   policy — whenever the workload reaches a steady state whose rounds are
@@ -23,7 +21,7 @@ form instead of re-simulating each one.  These tests pin its contract:
 * boundary behaviour — staggered arrivals and completions land on the
   same timestamps with and without replay, i.e. fast-forward windows
   never cross an admission or completion event;
-* the scheduler validates its engine/replay knobs.
+* the scheduler defaults to the array timeline with replay on.
 """
 
 import pytest
@@ -32,6 +30,7 @@ from repro.moe import get_config
 from repro.serving import make_scheduler
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.system import SSD_SYSTEM
+from repro.system.timeline import ArrayTimeline
 from repro.workloads import TimedRequest, TraceGenerator
 
 CONFIG = get_config("switch_base_64")
@@ -111,10 +110,9 @@ def steady_requests(n=5, out=40, gap=0.05, skew=MIXED_SKEW, seed=11):
             for i in range(n)]
 
 
-def serve(design, kwargs, engine, replay, requests):
+def serve(design, kwargs, replay, requests):
     scheduler = make_scheduler(design, CONFIG, max_batch_size=2,
-                               timeline_engine=engine, round_replay=replay,
-                               **kwargs)
+                               round_replay=replay, **kwargs)
     return scheduler.serve(requests)
 
 
@@ -155,14 +153,8 @@ class TestServeParityMatrix:
     def test_replay_matches_step_by_step(self, name):
         design, kwargs, expect_replay, skew = SCENARIOS[name]
         requests = steady_requests(skew=skew)
-        scalar = serve(design, kwargs, "scalar", False, requests)
-        kernel = serve(design, kwargs, "array", False, requests)
-        replayed = serve(design, kwargs, "array", True, requests)
-        # Scalar and kernel are the same simulator, bit for bit.
-        assert kernel.makespan == scalar.makespan
-        assert kernel.timeline_total_ops == scalar.timeline_total_ops
-        for a, b in zip(scalar.requests, kernel.requests):
-            assert a.token_times == b.token_times
+        kernel = serve(design, kwargs, False, requests)
+        replayed = serve(design, kwargs, True, requests)
         assert_replay_parity(kernel, replayed, name)
         if expect_replay:
             assert replayed.replay_windows > 0, name
@@ -185,10 +177,9 @@ class TestReplayEngagement:
         """
         requests = steady_requests(n=2, out=96, gap=0.0)
         scheduler = make_scheduler("pregated", CONFIG, max_batch_size=1,
-                                   timeline_engine="array", round_replay=True)
+                                   round_replay=True)
         replayed = scheduler.serve(requests)
         kernel = make_scheduler("pregated", CONFIG, max_batch_size=1,
-                                timeline_engine="array",
                                 round_replay=False).serve(requests)
         assert_replay_parity(kernel, replayed, "steady_decode")
         # Long identical decode tails: replay should cover over half the ops.
@@ -202,8 +193,7 @@ class TestReplayEngagement:
         design, kwargs, _, skew = SCENARIOS[name]
         requests = steady_requests(skew=skew)
         scheduler = make_scheduler(design, CONFIG, max_batch_size=2,
-                                   timeline_engine="array", round_replay=True,
-                                   **kwargs)
+                                   round_replay=True, **kwargs)
         replayed = scheduler.serve(requests)
         assert replayed.replay_windows > 0, name
         assert replayed.replay_ops > replayed.timeline_total_ops / 4, name
@@ -211,8 +201,7 @@ class TestReplayEngagement:
     def test_trace_recording_disables_replay(self):
         requests = steady_requests(n=2, out=24)
         scheduler = make_scheduler("pregated", CONFIG, max_batch_size=2,
-                                   timeline_engine="array", round_replay=True,
-                                   record_trace=True)
+                                   round_replay=True, record_trace=True)
         result = scheduler.serve(requests)
         assert result.replay_windows == 0
         # The trace really contains every op it claims to cover.
@@ -231,24 +220,15 @@ class TestReplayEngagement:
                                  trace=gen.request_trace(input_length=6,
                                                          output_length=48))
                     for i, arrival in enumerate([0.0, 0.35, 0.9, 1.3])]
-        kernel = serve("pregated", {}, "array", False, requests)
-        replayed = serve("pregated", {}, "array", True, requests)
+        kernel = serve("pregated", {}, False, requests)
+        replayed = serve("pregated", {}, True, requests)
         assert_replay_parity(kernel, replayed, "arrivals")
         assert replayed.replay_windows > 0
 
-    def test_scalar_engine_ignores_replay_knob(self):
-        requests = steady_requests(n=2, out=24)
-        result = serve("pregated", {}, "scalar", True, requests)
-        assert result.replay_windows == 0
-
 
 class TestKnobValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown timeline_engine"):
-            ContinuousBatchingScheduler("pregated", CONFIG,
-                                        timeline_engine="vectorised")
-
     def test_defaults_are_array_with_replay(self):
         scheduler = ContinuousBatchingScheduler("pregated", CONFIG)
-        assert scheduler.timeline_engine == "array"
         assert scheduler.round_replay is True
+        scheduler.serve(steady_requests(n=1, out=4))
+        assert type(scheduler.last_timeline) is ArrayTimeline

@@ -4,13 +4,11 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import (
-    ContinuousBatchingScheduler,
     EngineConfig,
     make_engine,
     make_scheduler,
     serve_load,
 )
-from repro.system import ExpertCache
 from repro.system.timeline import ExecutionTimeline
 from repro.workloads import (
     CLOSED_LOOP_QA_LOAD,
@@ -132,15 +130,6 @@ class TestLifecycle:
         assert result.oom
         assert "out of memory" in result.oom_reason.lower()
 
-    def test_legacy_cache_configures_residency(self):
-        """An ExpertCache argument is adopted into the shared residency map
-        (the scheduler used to reject caches outright)."""
-        scheduler = ContinuousBatchingScheduler(
-            "pregated", CONFIG, cache=ExpertCache(capacity_experts=8, policy="lifo"))
-        assert scheduler.residency is not None
-        assert scheduler.residency.capacity == 8
-        assert scheduler.residency.policy.name == "lifo"
-
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("multi_gpu", CONFIG)
@@ -182,10 +171,12 @@ class TestTransferDedup:
         plan = simulator.make_plan("decoder", activations)
         for _ in range(3):  # three requests with identical activations
             batch_round.register_plan(placement, "decoder", plan)
+        batch = timeline.begin_batch()  # one round: all three in one batch
         for request_id in range(3):
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"r{request_id}.")
+            simulator.emit_decoder_iteration(batch, activations,
+                                             batch_round=batch_round,
+                                             label=f"r{request_id}.")
+        timeline.commit_batch(batch)
         copies = timeline.ops_by_category("expert_transfer")
         assert len(copies) == sum(len(block) for block in activations)
         # All shared slots were refcounted down to zero and freed.

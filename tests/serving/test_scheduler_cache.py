@@ -13,7 +13,6 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import ReplicaCluster, make_scheduler, serve_load
-from repro.system import ExpertCache
 from repro.workloads import CLOSED_LOOP_QA_LOAD, TimedRequest, TraceGenerator, WorkloadSpec
 
 CONFIG = get_config("switch_base_64")
@@ -113,24 +112,6 @@ class TestWarmCache:
 
 
 class TestKnobs:
-    def test_legacy_expert_cache_adopted(self):
-        """An ExpertCache argument now configures the shared residency map."""
-        scheduler = make_scheduler("pregated", CONFIG)
-        assert scheduler.residency is None
-        from repro.serving import ContinuousBatchingScheduler
-        adopted = ContinuousBatchingScheduler(
-            "pregated", CONFIG, cache=ExpertCache(capacity_experts=8, policy="lfu"))
-        assert adopted.residency is not None
-        assert adopted.residency.capacity == 8
-        assert adopted.residency.policy.name == "lfu"
-
-    def test_cache_and_knobs_conflict(self):
-        from repro.serving import ContinuousBatchingScheduler
-        with pytest.raises(ValueError, match="not both"):
-            ContinuousBatchingScheduler("pregated", CONFIG,
-                                        cache=ExpertCache(capacity_experts=8),
-                                        cache_capacity=16)
-
     def test_policy_without_capacity_rejected(self):
         """cache_policy alone must not silently run uncached."""
         from repro.serving import make_engine

@@ -5,10 +5,10 @@ Two contracts:
 * **Mode parity** — serving with ``record_trace=False`` (incremental
   aggregates + op retirement, the production default) reports *exactly* the
   same load metrics as trace mode, across designs, multi-GPU replicas and
-  SSD staging, and under every timeline engine (scalar reference, array
-  kernel, kernel + round replay); and in trace mode, the incremental
-  aggregates agree with the first-principles trace scans to 1e-9.
-* **Scaling regression** — on every engine, total op work grows ~linearly
+  SSD staging, with round replay off and on; and in trace mode, the
+  incremental aggregates agree with the first-principles trace scans to
+  1e-9.
+* **Scaling regression** — with replay off and on, total op work grows ~linearly
   with request count while the resident-op window stays bounded (the fix
   for the accidental O(n²) makespan scans).
 """
@@ -64,26 +64,25 @@ SCENARIOS = {
 }
 
 
-#: (timeline_engine, round_replay) combinations the no-trace side serves
-#: under — the scalar reference, the array kernel, and the kernel with
-#: steady-state round replay.  All must report identical load metrics.
-ENGINES = (("scalar", False), ("array", False), ("array", True))
+#: Round-replay settings the no-trace side serves under — the kernel alone
+#: and the kernel with steady-state round replay.  Both must report the
+#: trace-mode load metrics.
+REPLAY = pytest.mark.parametrize("replay", (False, True),
+                                 ids=["kernel", "kernel_replay"])
 
 
 class TestTraceNoTraceParity:
-    @pytest.mark.parametrize("engine,replay", ENGINES,
-                             ids=["scalar", "kernel", "kernel_replay"])
+    @REPLAY
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_load_metrics_identical(self, scenario, seed, engine, replay):
+    def test_load_metrics_identical(self, scenario, seed, replay):
         design, kwargs = SCENARIOS[scenario]
         requests = poisson_requests(8, seed=seed)
         traced = make_scheduler(design, CONFIG, max_batch_size=4,
-                                timeline_engine="scalar",
                                 record_trace=True, **kwargs).serve(requests)
         bare = make_scheduler(design, CONFIG, max_batch_size=4,
-                              timeline_engine=engine, round_replay=replay,
-                              record_trace=False, **kwargs).serve(requests)
+                              round_replay=replay, record_trace=False,
+                              **kwargs).serve(requests)
         assert bare.makespan == pytest.approx(traced.makespan, abs=1e-9)
         assert bare.expert_bytes_transferred == traced.expert_bytes_transferred
         assert bare.peak_gpu_bytes == traced.peak_gpu_bytes
@@ -132,14 +131,13 @@ class TestTraceNoTraceParity:
 
 
 class TestScalingRegression:
-    @pytest.mark.parametrize("engine,replay", ENGINES,
-                             ids=["scalar", "kernel", "kernel_replay"])
-    def test_op_work_linear_and_window_bounded(self, engine, replay):
+    @REPLAY
+    def test_op_work_linear_and_window_bounded(self, replay):
         """Total op count grows ~linearly; the live window does not grow."""
         small = make_scheduler("pregated", CONFIG, max_batch_size=4,
-                               timeline_engine=engine, round_replay=replay)
+                               round_replay=replay)
         large = make_scheduler("pregated", CONFIG, max_batch_size=4,
-                               timeline_engine=engine, round_replay=replay)
+                               round_replay=replay)
         small_result = small.serve(poisson_requests(10, seed=3))
         large_result = large.serve(poisson_requests(40, seed=3))
         ratio = large_result.timeline_total_ops / small_result.timeline_total_ops

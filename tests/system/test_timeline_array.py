@@ -1,7 +1,7 @@
-"""Array-kernel timeline parity: ``ArrayTimeline`` vs the scalar engine.
+"""Array-kernel timeline parity: ``ArrayTimeline`` vs the per-op reference.
 
-The batched columnar engine must be *the same simulator* as the scalar
-reference, not an approximation of it:
+The batched columnar engine must be *the same simulator* as the per-op
+:class:`ExecutionTimeline` reference, not an approximation of it:
 
 * randomized op streams (mixed streams/devices/deps/arrival gates, emitted
   through both scalar adds and multi-op batches) produce bit-identical
@@ -10,7 +10,6 @@ reference, not an approximation of it:
   reassociate float additions);
 * the trace-recording array engine reconstructs the full per-op trace
   (``ops``/``to_records``/``stream_ops``) identically to the scalar one;
-* ``make_timeline`` maps the engine names onto the right classes;
 * batch validation points at the offending op and lane, exactly like the
   scalar validation (same message, either engine);
 * ``fast_forward`` applies absolute aggregate values and refuses trace
@@ -21,11 +20,13 @@ import random
 
 import pytest
 
-from repro.system.timeline import (STREAM_CODE, TIMELINE_ENGINES,
-                                   ArrayTimeline, ExecutionTimeline, Stream,
-                                   category_code, make_timeline)
+from repro.system.timeline import (STREAM_CODE, ArrayTimeline,
+                                   ExecutionTimeline, Stream, category_code)
 
 STREAMS = (Stream.COMPUTE, Stream.COPY, Stream.STAGE, Stream.INTERCONNECT)
+#: Contracts both timeline classes honour identically.
+BOTH_TIMELINES = pytest.mark.parametrize(
+    "engine", (ArrayTimeline, ExecutionTimeline), ids=["array", "reference"])
 CATEGORIES = ("compute", "copy", "stage_in", "alltoall", "generic")
 
 
@@ -163,39 +164,27 @@ class TestRandomizedParity:
             scalar.scan_exposed_copy_time(), abs=1e-9)
 
 
-class TestEngineSelection:
-    def test_make_timeline_maps_names(self):
-        assert set(TIMELINE_ENGINES) == {"scalar", "array"}
-        assert type(make_timeline("scalar")) is ExecutionTimeline
-        assert type(make_timeline("array")) is ArrayTimeline
-        assert make_timeline("array", record_trace=True).record_trace
-
-    def test_make_timeline_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown timeline engine"):
-            make_timeline("vectorised")
-
-
 class TestBatchValidation:
-    @pytest.mark.parametrize("engine", sorted(TIMELINE_ENGINES))
+    @BOTH_TIMELINES
     def test_negative_duration_names_op_and_lane(self, engine):
-        timeline = make_timeline(engine, record_trace=True)
+        timeline = engine(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0, name="warmup")
         batch.add(1, -0.5, device=2, name="bad_copy")
         with pytest.raises(ValueError, match=r"'bad_copy'.*copy, device 2"):
             timeline.commit_batch(batch)
 
-    @pytest.mark.parametrize("engine", sorted(TIMELINE_ENGINES))
+    @BOTH_TIMELINES
     def test_unknown_dependency_names_op(self, engine):
-        timeline = make_timeline(engine, record_trace=True)
+        timeline = engine(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0, deps=[41], name="orphan")
         with pytest.raises(ValueError, match=r"'orphan'.*41"):
             timeline.commit_batch(batch)
 
-    @pytest.mark.parametrize("engine", sorted(TIMELINE_ENGINES))
+    @BOTH_TIMELINES
     def test_batches_may_not_interleave(self, engine):
-        timeline = make_timeline(engine)
+        timeline = engine(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0)
         timeline.add("sneaky", Stream.COMPUTE, 1.0)
@@ -204,9 +193,9 @@ class TestBatchValidation:
 
 
 class TestFastForward:
-    @pytest.mark.parametrize("engine", sorted(TIMELINE_ENGINES))
+    @BOTH_TIMELINES
     def test_fast_forward_applies_absolute_aggregates(self, engine):
-        timeline = make_timeline(engine, record_trace=False)
+        timeline = engine(record_trace=False)
         timeline.add("seed", Stream.COMPUTE, 1.0, category="compute")
         snapshot = timeline.replay_snapshot()
         snapshot["makespan"] = 5.0
@@ -225,13 +214,13 @@ class TestFastForward:
         op = timeline.add("next", Stream.COMPUTE, 1.0, category="compute")
         assert op.start == 5.0
 
-    @pytest.mark.parametrize("engine", sorted(TIMELINE_ENGINES))
+    @BOTH_TIMELINES
     def test_fast_forward_refuses_trace_mode_and_rewinds(self, engine):
-        traced = make_timeline(engine, record_trace=True)
+        traced = engine(record_trace=True)
         traced.add("seed", Stream.COMPUTE, 1.0)
         with pytest.raises(RuntimeError, match="record_trace"):
             traced.fast_forward(num_ops=1, **traced.replay_snapshot())
-        plain = make_timeline(engine, record_trace=False)
+        plain = engine(record_trace=False)
         plain.add("seed", Stream.COMPUTE, 1.0)
         snapshot = plain.replay_snapshot()
         snapshot["makespan"] = 0.5

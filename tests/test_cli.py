@@ -49,18 +49,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["serving_load", "--quick", "--workers", "0"])
 
-    def test_simperf_quick_smokes_without_writing_json(self, tmp_path,
-                                                       monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["simperf", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "peak resident ops" in out
-        for mode in ("no_trace", "kernel", "kernel_replay", "no_trace_probed"):
-            assert mode in out
-        # Only --full (the recorded scaling ladder) writes the artifact —
-        # a smoke shape must never overwrite the committed trajectory.
-        assert not os.path.exists(tmp_path / "BENCH_simperf.json")
-
     def test_simperf_rejects_workers_and_full_needs_simperf(self):
         with pytest.raises(SystemExit):
             main(["simperf", "--quick", "--workers", "2"])
