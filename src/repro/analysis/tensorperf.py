@@ -3,7 +3,7 @@
 Where ``simperf`` measures the discrete-event *simulator*, this benchmark
 measures the *real-model* path: the numpy tensor engine that the Table-2
 accuracy and fine-tuning benches run on.  It times three workloads on a
-ladder of model/batch shapes, for both tensor backends:
+ladder of model/batch shapes, under each precision policy:
 
 * ``forward``  — a full encoder–decoder forward pass under ``no_grad``
   (tokens per wall-clock second);
@@ -17,12 +17,11 @@ use — ``tiny`` is the Table-2 seed shape, ``mini`` the promoted ≥4×-larger
 Table-2 config — plus a serving-scale rung (``tiny_serving``, ~30k tokens
 per step) where the *pre-optimisation* engine's quadratic expert-combine
 and KV-cache behaviour dominated.  :data:`RECORDED_EAGER_BASELINE` pins
-that pre-optimisation engine's throughput, measured at the commit before
-the lazy/fused backend landed with this module's exact protocol, so every
-run reports an honest speedup trajectory against it (the tentpole claim —
-≥10× train-step throughput at the serving rung — is asserted by
-``benchmarks/bench_tensorperf.py`` and recorded in
-``BENCH_tensorperf.json``).
+that pre-optimisation engine's throughput, measured with this module's
+exact protocol before the engine was vectorised, so every run reports an
+honest speedup trajectory against it.  :func:`check_tensorperf` holds every
+acceptance bar (≥10× train-step throughput at the serving rung among them)
+in one place for both the CLI and ``benchmarks/bench_tensorperf.py``.
 
 Timing protocol: every metric is the best (minimum wall time) of ``reps``
 repetitions after one untimed warmup, which is the standard estimator on a
@@ -36,13 +35,13 @@ import gc
 import json
 import platform
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..moe.configs import get_config
 from ..moe.transformer import SwitchTransformer
-from ..tensor import Adam, clip_grad_norm, no_grad, use_backend, use_precision
+from ..tensor import Adam, clip_grad_norm, no_grad, use_precision
 from ..tensor import functional as F
 
 #: Decoding ids shared by every rung (vocab ids 0/1 are pad/bos in the
@@ -64,16 +63,12 @@ RUNGS: Sequence[Dict[str, object]] = (
      "input_length": 24, "output_length": 16, "reps": 4, "full_only": True},
 )
 
-#: Tensor backends compared at every rung.
-BACKENDS = ("eager", "lazy")
-
 #: Precision policies measured at every rung (the precision axis): the
 #: bit-identical default, pure fp32, and the mixed recipe (fp32 compute,
 #: fp64 master weights and fp64 softmax/LayerNorm/loss reductions).
 PRECISIONS = ("pure_fp64", "pure_fp32", "mixed")
 
-#: Pre-optimisation eager-engine throughput, measured at the commit before
-#: the lazy/fused backend landed (per-op graph, per-expert Python-loop
+#: Pre-optimisation engine throughput (per-op graph, per-expert Python-loop
 #: dispatch, O(T²) scatter-matmul combine, re-concatenating KV cache) on
 #: the recording machine with this module's protocol (min over reps).
 #: These are the denominators of every reported speedup.
@@ -98,8 +93,8 @@ RECORDED_EAGER_BASELINE: Dict[str, Dict[str, float]] = {
     },
 }
 
-#: CI floors per precision policy: a quick run's *eager* train throughput
-#: below these fails the perf smoke job.  Values are ~0.4x the measurement
+#: CI floors per precision policy: a quick run's train throughput below
+#: these fails the perf smoke job.  Values are ~0.4x the measurement
 #: on the recording machine (see the committed artifact), so honest
 #: regressions trip them but CI-runner jitter does not.  The fp64 floors
 #: were tightened from the pre-precision values (tiny 9.0 / mini 3.0,
@@ -109,14 +104,6 @@ TRAIN_FLOOR_STEPS_PER_S: Dict[str, Dict[str, float]] = {
     "pure_fp32": {"tiny": 22.0, "mini": 8.0},
     "mixed": {"tiny": 20.0, "mini": 7.0},
 }
-
-#: Legacy alias (pre-precision name) for the fp64 floors.
-EAGER_TRAIN_FLOOR_STEPS_PER_S = TRAIN_FLOOR_STEPS_PER_S["pure_fp64"]
-
-#: Parity budget between the two backends (they share one primitive
-#: registry, so the observed difference is exactly zero at every precision;
-#: the budget is the acceptance bar).
-PARITY_BUDGET = 1e-9
 
 #: Budgets for each precision policy's loss / gradient deviation from
 #: ``pure_fp64`` on the parity protocol (documented in DESIGN.md).  The
@@ -129,25 +116,27 @@ PRECISION_GRAD_BUDGET: Dict[str, float] = {
     "pure_fp64": 0.0, "pure_fp32": 5e-4, "mixed": 5e-4,
 }
 
-#: The precision tentpole bar: ``mixed`` eager train-step throughput over
-#: the same run's ``pure_fp64`` eager value at the serving-scale rung.
+#: The serving-rung bar: train-step throughput over the recorded
+#: pre-optimisation baseline at :data:`SERVING_RUNG`.  The speedup comes
+#: from the vectorised eager engine (grouped expert dispatch, fused
+#: kernels, preallocated KV cache, in-place Adam).
+SERVING_RUNG = "tiny_serving"
+SERVING_SPEEDUP_BAR = 10.0
+
+#: The precision bar: ``mixed`` train-step throughput over the same run's
+#: ``pure_fp64`` value at the serving-scale rung.
 MIXED_TRAIN_SPEEDUP_BAR = 1.8
 
-#: Floor on the lazy/eager decode-minimum ratio recorded per rung and
-#: precision.  Batched greedy decode stands the lazy graph down to the
-#: eager engine, so both backends run *identical* code and the interleaved
-#: measurement's min ratio sits at ~1.0; a broken stand-down reinstates
-#: per-token graph build + materialise overhead and collapses it to ~0.5
-#: (0.43 observed).  0.75 clears quick-mode scheduler jitter on the
-#: millisecond-scale tiny rung while still tripping on the real failure.
-GENERATE_STANDDOWN_FLOOR = 0.75
+#: Maximum absolute Table-II metric difference, in points of the 0–100
+#: :class:`~repro.data.metrics.EvalScores` scale, between a ``mixed`` and a
+#: ``pure_fp64`` run of the accuracy-parity protocol.  One argmax flip over
+#: the 48-example eval set moves exact match by 100/48 ≈ 2.1 points, so 10
+#: points admits a handful of flips but not a systematic accuracy loss.
+ACCURACY_PARITY_TOLERANCE = 10.0
 
-#: Maximum absolute Table-II-style metric difference (per metric) between a
-#: ``mixed`` and a ``pure_fp64`` fine-tuning run of the accuracy-parity
-#: protocol.  Discrete metrics over a 32-example eval set move in quanta of
-#: 1/32 ≈ 0.031 when a single argmax flips, so the tolerance admits a
-#: handful of flips but not a systematic accuracy loss.
-ACCURACY_PARITY_TOLERANCE = 0.1
+#: ``pure_fp64`` must learn the task before the parity diff means anything:
+#: its exact match must clear the Table-II bench's learned-score floor.
+ACCURACY_PARITY_FLOOR = 30.0
 
 #: Canonical artifact filename (committed at the repo root).
 TENSORPERF_FILENAME = "BENCH_tensorperf.json"
@@ -174,22 +163,16 @@ def _rung_data(rung: Dict[str, object]):
     return config, enc, dec, tgt
 
 
-def measure_rung(rung: Dict[str, object], backend: str,
-                 reps: Optional[int] = None,
-                 precision: str = "pure_fp64",
-                 generate: bool = True) -> Dict[str, float]:
-    """Measure one ``backend/precision`` cell of a rung in isolation.
+def measure_rung(rung: Dict[str, object], reps: Optional[int] = None,
+                 precision: str = "pure_fp64") -> Dict[str, float]:
+    """Measure one precision cell of a rung: train, forward and decode.
 
     Only the workload itself is inside the timed region; model
-    construction and input generation are shared setup.  The backend and
-    precision policy are active for the whole measurement via
-    :func:`repro.tensor.use_backend` / :func:`repro.tensor.use_precision`.
-    ``generate=False`` skips the decode metric.
-
-    This is the standalone single-cell probe; ``run_tensorperf`` instead
-    measures all of a rung's cells with the timing rounds *interleaved*
-    (:func:`measure_rung_cells`), which is what makes the recorded
-    cross-cell ratios robust to host drift.
+    construction and input generation are shared setup.  The precision
+    policy is active for the whole measurement via
+    :func:`repro.tensor.use_precision`.  Cross-policy train ratios come
+    from :func:`measure_train_speedups` instead, whose timing rounds are
+    interleaved.
     """
     config, enc, dec, tgt = _rung_data(rung)
     reps = int(rung["reps"]) if reps is None else reps
@@ -198,7 +181,7 @@ def measure_rung(rung: Dict[str, object], backend: str,
     # timed region and skew big-rung allocations (measured ~10% on the
     # serving rung when it runs last in a full ladder).
     gc.collect()
-    with use_backend(backend), use_precision(precision):
+    with use_precision(precision):
         model = SwitchTransformer(config, seed=SEED)
         model.train()
         opt = Adam(model.parameters(), lr=1e-4)
@@ -222,24 +205,21 @@ def measure_rung(rung: Dict[str, object], backend: str,
 
         t_forward = _best(forward, reps)
 
-        result = {
-            "backend": backend,
-            "precision": precision,
-            "train_steps_per_s": 1.0 / t_train,
-            "train_tokens_per_s": tokens / t_train,
-            "forward_tokens_per_s": tokens / t_forward,
-            "train_wall_seconds": t_train,
-        }
-        if generate:
-            def decode():
-                return model.greedy_decode(enc, bos_id=BOS_ID, eos_id=EOS_ID,
-                                           max_new_tokens=rung["output_length"])
+        def decode():
+            return model.greedy_decode(enc, bos_id=BOS_ID, eos_id=EOS_ID,
+                                       max_new_tokens=rung["output_length"])
 
-            generated, _ = decode()
-            gen_tokens = enc.shape[0] * (generated.shape[1] - 1)
-            result["generate_tokens_per_s"] = gen_tokens / _best(
-                decode, max(2, reps // 2))
-    return result
+        generated, _ = decode()
+        gen_tokens = enc.shape[0] * (generated.shape[1] - 1)
+        t_generate = _best(decode, max(2, reps // 2))
+    return {
+        "precision": precision,
+        "train_steps_per_s": 1.0 / t_train,
+        "train_tokens_per_s": tokens / t_train,
+        "forward_tokens_per_s": tokens / t_forward,
+        "generate_tokens_per_s": gen_tokens / t_generate,
+        "train_wall_seconds": t_train,
+    }
 
 
 def _interleaved_best(fn: Callable[[str], object],
@@ -249,7 +229,7 @@ def _interleaved_best(fn: Callable[[str], object],
     Each round times every key back-to-back, so slow monotonic host and
     allocator drift lands on all keys equally instead of flattering
     whichever key happens to be measured earlier — cross-key *ratios*
-    (mixed vs fp64, lazy vs eager) are what the acceptance bars compare,
+    (mixed vs fp64) are what the acceptance bars compare,
     and serial per-key timing was measurably biasing them by 10–20% on a
     shared host.  One untimed warmup call per key precedes the rounds.
     """
@@ -266,7 +246,7 @@ def _interleaved_best(fn: Callable[[str], object],
 
 def measure_train_speedups(rung: Dict[str, object],
                            reps: Optional[int] = None) -> Dict[str, float]:
-    """Eager train-step speedup of each policy over ``pure_fp64``, paired.
+    """Train-step speedup of each policy over ``pure_fp64``, paired.
 
     The precision tentpole bar compares policies *against each other*, so
     it must not inherit the host drift that separates two serially-timed
@@ -304,58 +284,6 @@ def measure_train_speedups(rung: Dict[str, object],
             for precision in PRECISIONS}
 
 
-def measure_generate(rung: Dict[str, object],
-                     reps: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-    """Batched greedy-decode throughput per precision, backends interleaved.
-
-    Decode stands the lazy graph down to the eager engine, so for a given
-    precision both backends execute *identical* code: there is one decode
-    throughput per (rung, precision), not one per backend.  Timing the
-    backends serially (as :func:`measure_rung` does for its other metrics)
-    systematically favours whichever cell runs earlier in the process's
-    life — allocator and host drift are monotonic — which showed up as a
-    phantom 5–15% lazy deficit.  Here each repetition times every backend
-    back-to-back under the same host conditions; the recorded throughput
-    is the best over the pooled samples, and the lazy/eager minimum ratio
-    is kept as the stand-down regression signal (~1.0 when healthy, ~0.5
-    if decode ever starts building per-token lazy graphs again —
-    :data:`GENERATE_STANDDOWN_FLOOR` polices it).
-    """
-    config, enc, _, _ = _rung_data(rung)
-    reps = int(rung["reps"]) if reps is None else reps
-    reps = max(2, reps // 2)
-    out: Dict[str, Dict[str, float]] = {}
-    for precision in PRECISIONS:
-        gc.collect()
-        models = {}
-        for backend in BACKENDS:
-            with use_backend(backend), use_precision(precision):
-                models[backend] = SwitchTransformer(config, seed=SEED).eval()
-
-        def decode(backend):
-            with use_backend(backend), use_precision(precision):
-                return models[backend].greedy_decode(
-                    enc, bos_id=BOS_ID, eos_id=EOS_ID,
-                    max_new_tokens=rung["output_length"])
-
-        gen_tokens = None
-        times: Dict[str, list] = {backend: [] for backend in BACKENDS}
-        for backend in BACKENDS:                      # untimed warmup
-            generated, _ = decode(backend)
-            gen_tokens = enc.shape[0] * (generated.shape[1] - 1)
-        for _ in range(reps):
-            for backend in BACKENDS:
-                started = time.perf_counter()
-                decode(backend)
-                times[backend].append(time.perf_counter() - started)
-        floor = min(min(samples) for samples in times.values())
-        out[precision] = {
-            "tokens_per_s": gen_tokens / floor,
-            "lazy_over_eager": min(times["eager"]) / min(times["lazy"]),
-        }
-    return out
-
-
 def _parity_train_step(config, enc, dec, tgt):
     """Loss value and fp64 copies of every grad for one deterministic step."""
     model = SwitchTransformer(config, seed=SEED)
@@ -379,34 +307,6 @@ def _max_grad_diff(grads_a, grads_b) -> float:
         if ga is not None:
             diff = max(diff, float(np.max(np.abs(ga - gb))))
     return diff
-
-
-def measure_parity(config_name: str = "switch_mini_8", batch: int = 4,
-                   input_length: int = 6, output_length: int = 5,
-                   precision: str = "pure_fp64") -> Dict[str, float]:
-    """Max |eager − lazy| difference of the loss and every parameter grad.
-
-    Runs the identical train-step computation (same seeds, same inputs)
-    once per backend under ``precision`` and compares the loss value and
-    all gradients.  The backends share one primitive registry, so the
-    difference is exactly 0.0 at every precision; the recorded numbers
-    make the parity claim auditable from the artifact alone.
-    """
-    rung = {"config": config_name, "batch": batch, "input_length": input_length,
-            "output_length": output_length}
-    config, enc, dec, tgt = _rung_data(rung)
-    results = {}
-    for backend in BACKENDS:
-        with use_backend(backend), use_precision(precision):
-            results[backend] = _parity_train_step(config, enc, dec, tgt)
-    loss_e, grads_e = results["eager"]
-    loss_l, grads_l = results["lazy"]
-    return {
-        "precision": precision,
-        "loss_abs_diff": abs(loss_e - loss_l),
-        "grad_max_abs_diff": _max_grad_diff(grads_e, grads_l),
-        "budget": PARITY_BUDGET,
-    }
 
 
 def measure_precision_parity(config_name: str = "switch_mini_8", batch: int = 4,
@@ -437,16 +337,16 @@ def measure_precision_parity(config_name: str = "switch_mini_8", batch: int = 4,
     return out
 
 
-def measure_accuracy_parity(config_name: str = "tiny_moe_8",
+def measure_accuracy_parity(config_name: str = "switch_mini_8",
                             task_name: str = "squad_like",
-                            steps: int = 40) -> Dict[str, object]:
-    """Table-II-style task accuracy under ``mixed`` vs ``pure_fp64``.
+                            steps: int = 120) -> Dict[str, object]:
+    """Table-II task accuracy under ``mixed`` vs ``pure_fp64``.
 
-    Runs the fine-tuning protocol (shared pre-trained weights, identical
-    recipe) once per policy and reports the absolute metric differences.
-    Discrete metrics over a small eval set move in quanta of 1/num_examples,
-    so the documented tolerance is generous relative to the float drift
-    that causes the flips.
+    Runs the Table-II bench's fine-tuning recipe (shared pre-trained
+    weights; 120 steps, batch 16, lr 3e-3, seed 0; 192 training and 48
+    eval examples) once per policy and reports both policies' scores and
+    their absolute per-metric differences, in the 0–100 points of
+    :class:`~repro.data.metrics.EvalScores`.
     """
     from ..training.finetune import finetune_conventional, pretrain_conventional
     from ..training.trainer import TrainingConfig
@@ -457,7 +357,8 @@ def measure_accuracy_parity(config_name: str = "tiny_moe_8",
     tokenizer = default_vocabulary(num_content_words=config.vocab_size - 4)
     scores: Dict[str, Dict[str, float]] = {}
     for precision in ("pure_fp64", "mixed"):
-        training = TrainingConfig(steps=steps, batch_size=16, seed=SEED,
+        training = TrainingConfig(steps=steps, batch_size=16,
+                                  learning_rate=3e-3, seed=SEED,
                                   precision=precision)
         task = make_task(task_name, tokenizer=tokenizer, seed=SEED)
         pretrained = pretrain_conventional(config, task, seed=SEED,
@@ -465,7 +366,7 @@ def measure_accuracy_parity(config_name: str = "tiny_moe_8",
                                                steps=60, batch_size=16,
                                                seed=SEED, precision=precision))
         outcome = finetune_conventional(pretrained, task, training,
-                                        train_size=128, eval_size=32)
+                                        train_size=192, eval_size=48)
         scores[precision] = outcome.scores.as_dict()
     diffs = {metric: abs(scores["mixed"][metric] - scores["pure_fp64"][metric])
              for metric in ("rouge1", "rouge2", "exact_match", "f1")}
@@ -476,6 +377,7 @@ def measure_accuracy_parity(config_name: str = "tiny_moe_8",
         "scores": scores,
         "abs_diffs": diffs,
         "tolerance": ACCURACY_PARITY_TOLERANCE,
+        "fp64_exact_match_floor": ACCURACY_PARITY_FLOOR,
     }
 
 
@@ -484,8 +386,9 @@ def run_tensorperf(quick: bool = False, full: bool = False) -> Dict[str, object]
 
     ``quick`` measures the always-on rungs with fewer repetitions (the CI
     smoke shape); the default measures them at full repetitions; ``full``
-    adds the serving-scale rung and is the artifact-regeneration path
-    (minutes of wall time on the recording machine).
+    adds the serving-scale rung and the accuracy-parity protocol and is
+    the artifact-regeneration path (minutes of wall time on the recording
+    machine).
     """
     ladder: Dict[str, Dict[str, object]] = {}
     train_speedups: Dict[str, Dict[str, float]] = {}
@@ -493,20 +396,8 @@ def run_tensorperf(quick: bool = False, full: bool = False) -> Dict[str, object]
         if rung["full_only"] and not full:
             continue
         reps = max(2, int(rung["reps"]) // 2) if quick else None
-        cells = {}
-        for precision in PRECISIONS:
-            for backend in BACKENDS:
-                cells[f"{backend}/{precision}"] = measure_rung(
-                    rung, backend, reps=reps, precision=precision,
-                    generate=False)
-        # Decode is timed once per precision with the backends interleaved
-        # (identical stood-down code — see measure_generate); both cells
-        # record the pooled best plus the lazy/eager stand-down ratio.
-        for precision, decode in measure_generate(rung, reps=reps).items():
-            for backend in BACKENDS:
-                cell = cells[f"{backend}/{precision}"]
-                cell["generate_tokens_per_s"] = decode["tokens_per_s"]
-                cell["generate_lazy_over_eager"] = decode["lazy_over_eager"]
+        cells = {precision: measure_rung(rung, reps=reps, precision=precision)
+                 for precision in PRECISIONS}
         # Cross-policy train ratios come from a paired interleaved
         # measurement, not from dividing two serially-timed cells.
         train_speedups[str(rung["name"])] = measure_train_speedups(
@@ -518,21 +409,18 @@ def run_tensorperf(quick: bool = False, full: bool = False) -> Dict[str, object]
             "output_length": rung["output_length"],
             "tokens_per_step": rung["batch"] * (
                 rung["input_length"] + rung["output_length"]),
-            # Legacy view: the pure_fp64 cells keyed by backend only.
-            "backends": {backend: cells[f"{backend}/pure_fp64"]
-                         for backend in BACKENDS},
             "cells": cells,
         }
     speedups: Dict[str, Dict[str, float]] = {}
     mixed_speedups: Dict[str, float] = {
         name: ratios["mixed"] for name, ratios in train_speedups.items()}
     for name, row in ladder.items():
-        eager = row["backends"]["eager"]
+        fp64 = row["cells"]["pure_fp64"]
         base = RECORDED_EAGER_BASELINE.get(name)
         if base is None:
             continue
         speedups[name] = {
-            metric: eager[metric] / base[metric]
+            metric: fp64[metric] / base[metric]
             for metric in ("train_steps_per_s", "forward_tokens_per_s",
                            "generate_tokens_per_s")
             if base.get(metric)
@@ -543,24 +431,73 @@ def run_tensorperf(quick: bool = False, full: bool = False) -> Dict[str, object]
         "seed": SEED,
         "precisions": list(PRECISIONS),
         "recorded_eager_baseline": RECORDED_EAGER_BASELINE,
-        "floors": {"eager_train_steps_per_s": EAGER_TRAIN_FLOOR_STEPS_PER_S,
-                   "train_steps_per_s": TRAIN_FLOOR_STEPS_PER_S},
+        "floors": {"train_steps_per_s": TRAIN_FLOOR_STEPS_PER_S},
         "ladder": ladder,
-        "parity": {
-            "backend": {precision: measure_parity(precision=precision)
-                        for precision in PRECISIONS},
-            "precision": measure_precision_parity(),
-        },
+        "parity": {"precision": measure_precision_parity()},
         "speedup_over_recorded_baseline": speedups,
         "train_speedup_over_fp64": train_speedups,
         "mixed_train_speedup_over_fp64": mixed_speedups,
         "mixed_train_speedup_bar": MIXED_TRAIN_SPEEDUP_BAR,
     }
     if full:
-        # Table-II-style accuracy parity of the mixed policy; a fine-tune
+        # Table-II accuracy parity of the mixed policy; a fine-tune
         # protocol run, so only on artifact-regeneration (full) runs.
         payload["accuracy_parity"] = measure_accuracy_parity()
     return payload
+
+
+def check_tensorperf(payload: Dict[str, object]) -> List[str]:
+    """Every acceptance bar of a :func:`run_tensorperf` payload.
+
+    Returns one message per failed bar (empty when all hold).  The
+    serving-rung and accuracy bars apply only when the payload carries
+    the serving rung / accuracy-parity protocol (``full`` runs).
+    """
+    failures: List[str] = []
+    for precision, parity in payload["parity"]["precision"].items():
+        if (parity["loss_abs_diff"] > parity["loss_budget"]
+                or parity["grad_max_abs_diff"] > parity["grad_budget"]):
+            failures.append(
+                f"precision parity: {precision} deviates from pure_fp64 by "
+                f"loss {parity['loss_abs_diff']:.3e} / grad "
+                f"{parity['grad_max_abs_diff']:.3e} (budgets "
+                f"{parity['loss_budget']:.0e} / {parity['grad_budget']:.0e})")
+    for name, row in payload["ladder"].items():
+        for precision, floors in TRAIN_FLOOR_STEPS_PER_S.items():
+            floor = floors.get(name)
+            measured = row["cells"][precision]["train_steps_per_s"]
+            if floor is not None and measured < floor:
+                failures.append(
+                    f"train floor: {precision} train step ran {measured:.2f} "
+                    f"steps/s on the {name} rung, below the recorded floor "
+                    f"of {floor:.2f}")
+    if SERVING_RUNG in payload["ladder"]:
+        speedup = payload["speedup_over_recorded_baseline"][SERVING_RUNG][
+            "train_steps_per_s"]
+        if speedup < SERVING_SPEEDUP_BAR:
+            failures.append(
+                f"serving rung: train speedup {speedup:.1f}x over the "
+                f"recorded baseline is below the {SERVING_SPEEDUP_BAR:.0f}x "
+                f"bar")
+        mixed = payload["mixed_train_speedup_over_fp64"][SERVING_RUNG]
+        if mixed < MIXED_TRAIN_SPEEDUP_BAR:
+            failures.append(
+                f"serving rung: mixed-precision train speedup {mixed:.2f}x "
+                f"is below the {MIXED_TRAIN_SPEEDUP_BAR:.1f}x bar")
+    accuracy = payload.get("accuracy_parity")
+    if accuracy is not None:
+        learned = accuracy["scores"]["pure_fp64"]["exact_match"]
+        if learned <= ACCURACY_PARITY_FLOOR:
+            failures.append(
+                f"accuracy parity: pure_fp64 exact match {learned:.1f} does "
+                f"not clear the {ACCURACY_PARITY_FLOOR:.0f}-point floor")
+        for metric, diff in accuracy["abs_diffs"].items():
+            if diff > ACCURACY_PARITY_TOLERANCE:
+                failures.append(
+                    f"accuracy parity: mixed and pure_fp64 {metric} differ "
+                    f"by {diff:.1f} points (tolerance "
+                    f"{ACCURACY_PARITY_TOLERANCE:.0f})")
+    return failures
 
 
 def write_tensorperf(payload: Dict[str, object], path: str) -> None:

@@ -20,11 +20,14 @@ CI runs and the quickest way to see the simulator end-to-end without pytest:
   floor or replay fails to engage on a placement rung (the CI perf
   smoke);
 * ``tensorperf`` — the real-model tensor engine's performance (forward /
-  train-step / generate throughput, eager vs lazy backend) on the model
-  shape ladder, with eager↔lazy parity checked and speedups reported
-  against the recorded pre-optimisation baseline; ``--full`` adds the
-  serving-scale rung and rewrites ``BENCH_tensorperf.json``, and every
-  run fails if eager train throughput drops below the recorded floor.
+  train-step / generate throughput per precision policy) on the model
+  shape ladder, with speedups reported against the recorded
+  pre-optimisation baseline; ``--full`` adds the serving-scale rung and
+  the accuracy-parity protocol and rewrites ``BENCH_tensorperf.json``, and
+  every run fails if any bar of
+  :func:`~repro.analysis.tensorperf.check_tensorperf` fails (precision
+  parity budgets, train-throughput floors, and on ``--full`` the
+  serving-rung and accuracy bars).
 
 ``--quick`` shrinks the request count and grid for CI smoke runs;
 ``--seed N`` reseeds the sweep's workload and arrival process;
@@ -45,9 +48,8 @@ from typing import Dict, List, Optional
 
 from .analysis.report import FigureReport, load_test_report
 from .analysis.simperf import SIMPERF_FILENAME, run_simperf, write_simperf
-from .analysis.tensorperf import (GENERATE_STANDDOWN_FLOOR,
-                                  TENSORPERF_FILENAME, run_tensorperf,
-                                  write_tensorperf)
+from .analysis.tensorperf import (TENSORPERF_FILENAME, check_tensorperf,
+                                  run_tensorperf, write_tensorperf)
 from .moe.configs import get_config
 from .obs.probes import append_metrics_rows, write_metrics_rows
 from .obs.trace_export import write_chrome_trace
@@ -240,7 +242,7 @@ def run_simperf_sweep(quick: bool, workers: Optional[int] = None,
 
 def run_tensorperf_sweep(quick: bool, workers: Optional[int] = None,
                          full: bool = False) -> FigureReport:
-    """Real-model tensor-path performance: eager vs lazy across the shape ladder."""
+    """Real-model tensor-path performance per precision across the shape ladder."""
     # Always serial: the measurement is the wall clock (main() rejects
     # --workers for this sweep).
     payload = run_tensorperf(quick=quick, full=full)
@@ -251,62 +253,28 @@ def run_tensorperf_sweep(quick: bool, workers: Optional[int] = None,
     written = f" (written to {TENSORPERF_JSON})" if full else ""
     report = FigureReport(
         figure="tensorperf",
-        description=("Real-model tensor engine throughput, eager vs lazy x "
-                     "fp64/fp32/mixed, against the recorded pre-optimisation "
+        description=("Real-model tensor engine throughput per precision "
+                     "policy, against the recorded pre-optimisation "
                      f"baseline{written}"),
-        headers=["rung", "backend", "precision", "train steps/s", "train tok/s",
+        headers=["rung", "precision", "train steps/s", "train tok/s",
                  "forward tok/s", "generate tok/s", "train speedup vs recorded"],
     )
     speedups = payload["speedup_over_recorded_baseline"]
     for name, row in payload["ladder"].items():
-        for cell, metrics in row["cells"].items():
-            backend, precision = cell.split("/")
+        for precision, metrics in row["cells"].items():
             speedup = speedups.get(name, {}).get("train_steps_per_s")
             report.add_row(
-                name, backend, precision,
+                name, precision,
                 round(metrics["train_steps_per_s"], 2),
                 round(metrics["train_tokens_per_s"]),
                 round(metrics["forward_tokens_per_s"]),
                 round(metrics["generate_tokens_per_s"]),
-                f"{speedup:.1f}x" if cell == "eager/pure_fp64" and speedup
+                f"{speedup:.1f}x" if precision == "pure_fp64" and speedup
                 else "")
-    for precision, parity in payload["parity"]["backend"].items():
-        if max(parity["loss_abs_diff"],
-               parity["grad_max_abs_diff"]) > parity["budget"]:
-            raise SystemExit(
-                f"tensorperf parity failure: eager vs lazy differ by "
-                f"{parity['grad_max_abs_diff']:.3e} under {precision} "
-                f"(budget {parity['budget']:.0e})")
-    for precision, parity in payload["parity"]["precision"].items():
-        if (parity["loss_abs_diff"] > parity["loss_budget"]
-                or parity["grad_max_abs_diff"] > parity["grad_budget"]):
-            raise SystemExit(
-                f"tensorperf precision-parity failure: {precision} deviates "
-                f"from pure_fp64 by loss {parity['loss_abs_diff']:.3e} / "
-                f"grad {parity['grad_max_abs_diff']:.3e} (budgets "
-                f"{parity['loss_budget']:.0e} / {parity['grad_budget']:.0e})")
-    floors = payload["floors"]["train_steps_per_s"]
-    for name, row in payload["ladder"].items():
-        for precision, rung_floors in floors.items():
-            floor = rung_floors.get(name)
-            if floor is None:
-                continue
-            measured = row["cells"][f"eager/{precision}"]["train_steps_per_s"]
-            if measured < floor:
-                raise SystemExit(
-                    f"tensorperf regression: eager/{precision} train step ran "
-                    f"{measured:.2f} steps/s on the {name} rung, below the "
-                    f"recorded floor of {floor:.2f} (see {TENSORPERF_FILENAME})")
-        # Decode stands the lazy graph down to the eager engine; the
-        # interleaved lazy/eager decode-minimum ratio sits at ~1.0 and
-        # collapses to ~0.5 if the stand-down ever breaks.
-        for precision in payload["precisions"]:
-            ratio = row["cells"][f"lazy/{precision}"]["generate_lazy_over_eager"]
-            if ratio < GENERATE_STANDDOWN_FLOOR:
-                raise SystemExit(
-                    f"tensorperf regression: lazy decode ran at {ratio:.2f}x "
-                    f"eager on the {name} rung ({precision}) — the "
-                    f"greedy-decode stand-down looks broken")
+    failures = check_tensorperf(payload)
+    if failures:
+        raise SystemExit("tensorperf regression (see "
+                         f"{TENSORPERF_FILENAME}):\n  " + "\n  ".join(failures))
     return report
 
 

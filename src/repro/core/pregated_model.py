@@ -37,8 +37,6 @@ from ..tensor import (
     ModuleList,
     MultiHeadAttention,
     Tensor,
-    no_grad,
-    use_backend,
 )
 from ..moe.configs import ModelConfig
 from ..moe.gating import RoutingDecision
@@ -299,50 +297,8 @@ class PreGatedSwitchTransformer(Module):
         return Seq2SeqOutput(logits=logits, aux_loss=aux, routing_trace=trace,
                              encoder_hidden=encoder_hidden)
 
-    # ------------------------------------------------------------------
-    def greedy_decode(self, input_ids: np.ndarray, bos_id: int, eos_id: int,
-                      max_new_tokens: int = 16,
-                      input_padding_mask: Optional[np.ndarray] = None,
-                      collect_trace: bool = False,
-                      top_k: Optional[int] = None
-                      ) -> Tuple[np.ndarray, List[List[RoutingTraceEntry]]]:
-        """Greedy incremental decoding; see :meth:`SwitchTransformer.greedy_decode`."""
-        input_ids = np.asarray(input_ids, dtype=np.int64)
-        batch = input_ids.shape[0]
-        traces: List[List[RoutingTraceEntry]] = []
-        # Same eager stand-down as SwitchTransformer.greedy_decode: the
-        # token-by-token loop demands values each step, so lazy recording
-        # is pure overhead here.
-        with use_backend("eager"), no_grad():
-            encoder_trace: List[RoutingTraceEntry] = [] if collect_trace else None
-            encoder_hidden = self.encode(input_ids, padding_mask=input_padding_mask,
-                                         trace=encoder_trace, top_k=top_k)
-            if collect_trace and encoder_trace:
-                traces.append(encoder_trace)
-
-            kv_caches = [KVCache() for _ in range(self.config.num_decoder_layers)]
-            # Preallocated output buffer: the whole batch decodes in one
-            # tensor step per token, with no per-token reallocation.
-            generated = np.full((batch, max_new_tokens + 1), eos_id, dtype=np.int64)
-            generated[:, 0] = bos_id
-            length = 1
-            finished = np.zeros(batch, dtype=bool)
-            for _ in range(max_new_tokens):
-                step_trace: List[RoutingTraceEntry] = [] if collect_trace else None
-                last_tokens = generated[:, length - 1:length]
-                logits = self.decode(last_tokens, encoder_hidden,
-                                     encoder_padding_mask=input_padding_mask,
-                                     kv_caches=kv_caches, trace=step_trace, top_k=top_k)
-                next_ids = np.argmax(logits.numpy()[:, -1, :], axis=-1)
-                next_ids = np.where(finished, eos_id, next_ids)
-                generated[:, length] = next_ids
-                length += 1
-                if collect_trace:
-                    traces.append(step_trace)
-                finished |= next_ids == eos_id
-                if finished.all():
-                    break
-        return generated[:, :length], traces
+    # Greedy decoding is the same loop over this class's encode / decode.
+    greedy_decode = SwitchTransformer.greedy_decode
 
     # ------------------------------------------------------------------
     # Weight reuse from a conventional model (Section IV-B)

@@ -105,7 +105,7 @@ class ExpertPool(Module):
         the combine (matching the loop implementation, where the routing
         weights enter as constants).
         """
-        x = hidden.data  # materialises under the lazy backend (stand-down)
+        x = hidden.data
         tokens, d_model = x.shape
         k = routing.top_k
         flat_experts = routing.expert_indices.reshape(-1)

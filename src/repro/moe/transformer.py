@@ -32,7 +32,6 @@ from ..tensor import (
     MultiHeadAttention,
     Tensor,
     no_grad,
-    use_backend,
 )
 from .configs import ModelConfig
 from .gating import RoutingDecision
@@ -275,16 +274,13 @@ class SwitchTransformer(Module):
         Returns the generated token ids (including the BOS prefix) and, if
         requested, the routing trace of every decoder iteration — the
         per-iteration expert-activation record consumed by the serving
-        simulator.
+        simulator.  Any model with this class's ``encode`` / ``decode``
+        signatures and ``config`` can share this loop.
         """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         batch = input_ids.shape[0]
         traces: List[List[RoutingTraceEntry]] = []
-        # Decode runs eagerly regardless of the active backend: every step
-        # immediately demands concrete logits (argmax → next token), so the
-        # lazy graph can never amortise — it only adds per-token record +
-        # materialise overhead (measurably slower at batch decode sizes).
-        with use_backend("eager"), no_grad():
+        with no_grad():
             encoder_trace: List[RoutingTraceEntry] = [] if collect_trace else None
             encoder_hidden = self.encode(input_ids, padding_mask=input_padding_mask,
                                          trace=encoder_trace, top_k=top_k)

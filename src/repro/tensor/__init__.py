@@ -6,10 +6,9 @@ models are built from: a small reverse-mode autograd engine
 (:mod:`repro.tensor.layers`, :mod:`repro.tensor.attention`), functional ops
 (:mod:`repro.tensor.functional`) and optimisers (:mod:`repro.tensor.optim`).
 
-Two execution backends share one primitive registry
-(:mod:`repro.tensor.primitives`): the default eager engine and an opt-in
-lazy, fusing op-graph (:mod:`repro.tensor.lazy`) selected with
-:func:`use_backend`.
+Every op is a primitive with a forward and a VJP in one registry
+(:mod:`repro.tensor.primitives`); the eager engine executes each op as it
+is issued.
 """
 
 from .autograd import (
@@ -24,7 +23,6 @@ from .autograd import (
     where,
     zeros,
 )
-from .lazy import current_backend, use_backend
 from .precision import (
     PrecisionPolicy,
     current_precision,
@@ -48,8 +46,6 @@ __all__ = [
     "tensor",
     "where",
     "zeros",
-    "current_backend",
-    "use_backend",
     "PrecisionPolicy",
     "current_precision",
     "current_precision_name",

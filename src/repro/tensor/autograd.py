@@ -8,10 +8,7 @@ through them with :meth:`Tensor.backward`.
 Every operation dispatches through the shared primitive registry
 (:mod:`repro.tensor.primitives`): a node stores which primitive produced it
 plus its parents and parameters, and the backward engine calls the
-primitive's VJP.  Because the lazy backend (:mod:`repro.tensor.lazy`)
-records the *same* primitives, gradients come from exactly one
-implementation regardless of execution backend — the backward pass is
-always eager numpy over materialised values.
+primitive's VJP, so every gradient comes from exactly one implementation.
 
 Broadcasting is handled by summing gradients over broadcast dimensions
 (:func:`unbroadcast`).  Only the operations required by the
@@ -33,13 +30,6 @@ from repro.tensor.primitives import unbroadcast  # noqa: F401  (re-export)
 ArrayLike = Union[np.ndarray, float, int, "Tensor"]
 
 _grad_enabled = True
-
-# Backend switch.  ``repro.tensor.lazy`` flips ``_backend_lazy`` via
-# ``use_backend`` and installs the two hooks below when it is imported, which
-# keeps this module free of a circular import.
-_backend_lazy = False
-_lazy_dispatch: Optional[Callable] = None
-_lazy_materialize: Optional[Callable] = None
 
 _EMPTY_PARAMS: dict = {}
 
@@ -99,7 +89,7 @@ class Tensor:
     """
 
     __slots__ = ("_data", "grad", "requires_grad", "_prim", "_parents",
-                 "_params", "_backward", "_lazy", "name")
+                 "_params", "_backward", "name")
 
     def __init__(
         self,
@@ -112,7 +102,6 @@ class Tensor:
     ) -> None:
         self._data = _as_array(data, None if dtype is None
                                else PR.validate_dtype(dtype))
-        self._lazy = None
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._parents: Tuple[Tensor, ...] = tuple(_parents) if self.requires_grad else ()
@@ -122,28 +111,22 @@ class Tensor:
         self.name = name
 
     # ------------------------------------------------------------------
-    # Data access (materialises lazy tensors on demand)
+    # Data access
     # ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
-        d = self._data
-        if d is None:
-            d = self._data = _lazy_materialize(self._lazy)
-        return d
+        return self._data
 
     @data.setter
     def data(self, value) -> None:
         self._data = value if isinstance(value, np.ndarray) else _as_array(value)
-        self._lazy = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
-        if self._data is not None:
-            return self._data.shape
-        return self._lazy.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
@@ -158,9 +141,7 @@ class Tensor:
 
     @property
     def dtype(self):
-        if self._data is not None:
-            return self._data.dtype
-        return self._lazy.dtype
+        return self._data.dtype
 
     def numpy(self) -> np.ndarray:
         """Return the underlying numpy array (not a copy)."""
@@ -337,10 +318,7 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, index) -> "Tensor":
-        # Fancy indexing depends on index *values*, so it is always eager —
-        # a materialisation point for the lazy graph.
-        data = self.data[index]
-        return _wrap(data, P.GETITEM, (self,), {"index": index})
+        return _dispatch(P.GETITEM, (self,), {"index": index})
 
     # ------------------------------------------------------------------
     # Reductions
@@ -417,12 +395,14 @@ class Tensor:
             self.grad = current + grad
 
 
-def _wrap(data: np.ndarray, prim: P.Primitive, parents: Tuple[Tensor, ...],
-          params: Optional[dict]) -> Tensor:
-    """Build the output node for an already-computed primitive result."""
+def _dispatch(prim: P.Primitive, parents: Tuple[Tensor, ...],
+              params: Optional[dict]) -> Tensor:
+    """Execute ``prim`` on ``parents`` and wrap the result as a graph node."""
     out = Tensor.__new__(Tensor)
-    out._data = data
-    out._lazy = None
+    if params is None:
+        out._data = prim.forward(*[p.data for p in parents])
+    else:
+        out._data = prim.forward(*[p.data for p in parents], **params)
     out.grad = None
     out._backward = None
     out.name = ""
@@ -439,18 +419,6 @@ def _wrap(data: np.ndarray, prim: P.Primitive, parents: Tuple[Tensor, ...],
     out._parents = ()
     out._params = None
     return out
-
-
-def _dispatch(prim: P.Primitive, parents: Tuple[Tensor, ...],
-              params: Optional[dict]) -> Tensor:
-    """Execute ``prim`` on ``parents`` under the active backend."""
-    if _backend_lazy:
-        return _lazy_dispatch(prim, parents, params)
-    if params is None:
-        data = prim.forward(*[p.data for p in parents])
-    else:
-        data = prim.forward(*[p.data for p in parents], **params)
-    return _wrap(data, prim, parents, params)
 
 
 # ----------------------------------------------------------------------

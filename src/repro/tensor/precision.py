@@ -33,7 +33,7 @@ engine: every cast in the stack is guarded by a dtype comparison, so under
 the default policy no conversion (and no copy) ever happens.  All recorded
 paper figures are therefore untouched by this layer.
 
-Usage mirrors :func:`repro.tensor.use_backend`::
+Usage::
 
     from repro import tensor as T
 
@@ -46,9 +46,7 @@ Usage mirrors :func:`repro.tensor.use_backend`::
 
 The policy is consulted at *array-creation* points (tensor constructors,
 parameter registration, gradient stashes, optimiser state), so the policy
-active while a model is built and trained determines its precision; the
-two backends (eager / lazy) inherit it transparently because both execute
-the same primitives on the same arrays.
+active while a model is built and trained determines its precision.
 """
 
 from __future__ import annotations
@@ -163,9 +161,8 @@ def resolve_dtype(dtype) -> np.dtype:
 class use_precision:
     """Switch the active precision policy.
 
-    Mirrors :class:`repro.tensor.lazy.use_backend`: acts as a *global
-    switch* the moment it is constructed and as a *context manager* that
-    restores the previous policy on exit::
+    Acts as a *global switch* the moment it is constructed and as a
+    *context manager* that restores the previous policy on exit::
 
         T.use_precision("mixed")           # stays mixed until switched back
 

@@ -3,20 +3,12 @@
 Every differentiable operation of the tensor substrate is described once
 here, as a :class:`Primitive` bundling
 
-* ``forward`` — the numpy implementation (elementwise primitives accept an
-  ``out=`` buffer so the lazy backend can fuse chains without allocating);
-* ``vjp`` — the vector-Jacobian product.  VJPs are *pure* functions of
-  ``(grad, out, inputs, needs, params)`` — they never rely on state saved
-  during the forward pass, which is what lets the eager engine and the lazy
-  graph share them verbatim (materialise whenever, differentiate once);
-* ``shape`` — shape inference, so the lazy backend can answer ``.shape``
-  without evaluating;
-* ``elementwise`` — whether the op maps inputs to outputs pointwise
-  (possibly with broadcasting); these are the ops the lazy backend fuses.
+* ``forward`` — the numpy implementation;
+* ``vjp`` — the vector-Jacobian product, a function of
+  ``(grad, out, inputs, needs, params)``.
 
-Both execution backends (:mod:`repro.tensor.autograd` eager,
-:mod:`repro.tensor.lazy` deferred) dispatch through this table, so adding an
-op here makes it available — with gradients — to both.
+The engine (:mod:`repro.tensor.autograd`) dispatches every op through this
+table, so adding an op here makes it available with its gradient.
 """
 
 from __future__ import annotations
@@ -65,20 +57,16 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 class Primitive:
-    """One operation: forward, gradient and shape rule under a single name."""
+    """One operation: forward and gradient under a single name."""
 
-    __slots__ = ("name", "forward", "vjp", "shape", "elementwise")
+    __slots__ = ("name", "forward", "vjp")
 
     def __init__(self, name: str,
                  forward: Callable[..., np.ndarray],
-                 vjp: Optional[Callable[..., Sequence[Optional[np.ndarray]]]],
-                 shape: Callable[..., Tuple[int, ...]],
-                 elementwise: bool = False) -> None:
+                 vjp: Optional[Callable[..., Sequence[Optional[np.ndarray]]]]) -> None:
         self.name = name
         self.forward = forward
         self.vjp = vjp
-        self.shape = shape
-        self.elementwise = elementwise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Primitive({self.name!r})"
@@ -87,33 +75,12 @@ class Primitive:
 REGISTRY: Dict[str, Primitive] = {}
 
 
-def register(name: str, forward, vjp, shape, elementwise: bool = False) -> Primitive:
+def register(name: str, forward, vjp) -> Primitive:
     if name in REGISTRY:
         raise ValueError(f"duplicate primitive {name!r}")
-    prim = Primitive(name, forward, vjp, shape, elementwise)
+    prim = Primitive(name, forward, vjp)
     REGISTRY[name] = prim
     return prim
-
-
-# ----------------------------------------------------------------------
-# Shape rules
-# ----------------------------------------------------------------------
-def _broadcast_shape(*shapes, **_params):
-    return np.broadcast_shapes(*shapes)
-
-
-def _same_shape(shape, **_params):
-    return shape
-
-
-def _reduce_shape(shape, axis=None, keepdims=False):
-    if axis is None:
-        return shape if keepdims and not shape else ((1,) * len(shape) if keepdims else ())
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
-    if keepdims:
-        return tuple(1 if i in axes else d for i, d in enumerate(shape))
-    return tuple(d for i, d in enumerate(shape) if i not in axes)
 
 
 # ----------------------------------------------------------------------
@@ -143,21 +110,16 @@ def _div_vjp(grad, out, inputs, needs, params):
             unbroadcast(-grad * out / b, b.shape) if needs[1] else None)
 
 
-ADD = register("add", lambda a, b, out=None: np.add(a, b, out=out),
-               _add_vjp, _broadcast_shape, elementwise=True)
-SUB = register("sub", lambda a, b, out=None: np.subtract(a, b, out=out),
-               _sub_vjp, _broadcast_shape, elementwise=True)
-MUL = register("mul", lambda a, b, out=None: np.multiply(a, b, out=out),
-               _mul_vjp, _broadcast_shape, elementwise=True)
-DIV = register("div", lambda a, b, out=None: np.divide(a, b, out=out),
-               _div_vjp, _broadcast_shape, elementwise=True)
-NEG = register("neg", lambda a, out=None: np.negative(a, out=out),
-               lambda grad, out, inputs, needs, params: (-grad,),
-               _same_shape, elementwise=True)
+ADD = register("add", np.add, _add_vjp)
+SUB = register("sub", np.subtract, _sub_vjp)
+MUL = register("mul", np.multiply, _mul_vjp)
+DIV = register("div", np.divide, _div_vjp)
+NEG = register("neg", np.negative,
+               lambda grad, out, inputs, needs, params: (-grad,))
 
 
-def _pow_forward(a, out=None, exponent=2.0):
-    return np.power(a, exponent, out=out)
+def _pow_forward(a, exponent=2.0):
+    return np.power(a, exponent)
 
 
 def _pow_vjp(grad, out, inputs, needs, params):
@@ -166,38 +128,33 @@ def _pow_vjp(grad, out, inputs, needs, params):
     return (grad * exponent * a ** (exponent - 1),)
 
 
-POW = register("pow", _pow_forward, _pow_vjp, _same_shape, elementwise=True)
+POW = register("pow", _pow_forward, _pow_vjp)
 
 
 # ----------------------------------------------------------------------
 # Elementwise non-linearities
 # ----------------------------------------------------------------------
-EXP = register("exp", lambda a, out=None: np.exp(a, out=out),
-               lambda grad, out, inputs, needs, params: (grad * out,),
-               _same_shape, elementwise=True)
-LOG = register("log", lambda a, out=None: np.log(a, out=out),
-               lambda grad, out, inputs, needs, params: (grad / inputs[0],),
-               _same_shape, elementwise=True)
-TANH = register("tanh", lambda a, out=None: np.tanh(a, out=out),
-                lambda grad, out, inputs, needs, params: (grad * (1.0 - out * out),),
-                _same_shape, elementwise=True)
+EXP = register("exp", np.exp,
+               lambda grad, out, inputs, needs, params: (grad * out,))
+LOG = register("log", np.log,
+               lambda grad, out, inputs, needs, params: (grad / inputs[0],))
+TANH = register("tanh", np.tanh,
+                lambda grad, out, inputs, needs, params: (grad * (1.0 - out * out),))
 SIGMOID = register(
     "sigmoid",
-    lambda a, out=None: np.reciprocal(np.add(1.0, np.exp(np.negative(a, out=out), out=out), out=out), out=out)
-    if out is not None else 1.0 / (1.0 + np.exp(-a)),
-    lambda grad, out, inputs, needs, params: (grad * out * (1.0 - out),),
-    _same_shape, elementwise=True)
+    lambda a: 1.0 / (1.0 + np.exp(-a)),
+    lambda grad, out, inputs, needs, params: (grad * out * (1.0 - out),))
 
 
-def _relu_forward(a, out=None):
-    return np.maximum(a, 0.0, out=out)
+def _relu_forward(a):
+    return np.maximum(a, 0.0)
 
 
 def _relu_vjp(grad, out, inputs, needs, params):
     return (grad * (out > 0),)
 
 
-RELU = register("relu", _relu_forward, _relu_vjp, _same_shape, elementwise=True)
+RELU = register("relu", _relu_forward, _relu_vjp)
 
 # A python float on purpose: NEP-50 promotion makes a ``np.float64`` scalar
 # up-cast float32 operands, while a python float stays "weak" and preserves
@@ -205,13 +162,9 @@ RELU = register("relu", _relu_forward, _relu_vjp, _same_shape, elementwise=True)
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def _gelu_forward(a, out=None):
+def _gelu_forward(a):
     inner = _GELU_C * (a + 0.044715 * a ** 3)
-    result = 0.5 * a * (1.0 + np.tanh(inner, out=inner))
-    if out is not None:
-        out[...] = result
-        return out
-    return result
+    return 0.5 * a * (1.0 + np.tanh(inner, out=inner))
 
 
 def _gelu_vjp(grad, out, inputs, needs, params):
@@ -224,18 +177,14 @@ def _gelu_vjp(grad, out, inputs, needs, params):
     return (grad * d,)
 
 
-GELU = register("gelu", _gelu_forward, _gelu_vjp, _same_shape, elementwise=True)
+GELU = register("gelu", _gelu_forward, _gelu_vjp)
 
 
 # ----------------------------------------------------------------------
 # Masking / selection (elementwise with constant operands)
 # ----------------------------------------------------------------------
-def _masked_fill_forward(a, out=None, mask=None, value=0.0):
-    if out is None:
-        return np.where(mask, value, a)
-    np.copyto(out, a)
-    np.copyto(out, value, where=mask)
-    return out
+def _masked_fill_forward(a, mask=None, value=0.0):
+    return np.where(mask, value, a)
 
 
 def _masked_fill_vjp(grad, out, inputs, needs, params):
@@ -243,18 +192,11 @@ def _masked_fill_vjp(grad, out, inputs, needs, params):
     return (unbroadcast(np.where(mask, 0.0, grad), inputs[0].shape),)
 
 
-MASKED_FILL = register(
-    "masked_fill", _masked_fill_forward, _masked_fill_vjp,
-    lambda shape, mask=None, value=0.0: np.broadcast_shapes(shape, np.shape(mask)),
-    elementwise=True)
+MASKED_FILL = register("masked_fill", _masked_fill_forward, _masked_fill_vjp)
 
 
-def _where_forward(a, b, out=None, cond=None):
-    if out is None:
-        return np.where(cond, a, b)
-    np.copyto(out, b)
-    np.copyto(out, a, where=cond)
-    return out
+def _where_forward(a, b, cond=None):
+    return np.where(cond, a, b)
 
 
 def _where_vjp(grad, out, inputs, needs, params):
@@ -264,10 +206,7 @@ def _where_vjp(grad, out, inputs, needs, params):
             unbroadcast(np.where(cond, 0.0, grad), b.shape) if needs[1] else None)
 
 
-WHERE = register(
-    "where", _where_forward, _where_vjp,
-    lambda sa, sb, cond=None: np.broadcast_shapes(sa, sb, np.shape(cond)),
-    elementwise=True)
+WHERE = register("where", _where_forward, _where_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -283,18 +222,7 @@ def _matmul_vjp(grad, out, inputs, needs, params):
     return (grad_a, grad_b)
 
 
-def _matmul_shape(sa, sb):
-    if len(sa) == 1 and len(sb) == 1:
-        return ()
-    if len(sb) == 1:
-        return sa[:-1]
-    if len(sa) == 1:
-        return sb[:-2] + sb[-1:]
-    batch = np.broadcast_shapes(sa[:-2], sb[:-2])
-    return batch + (sa[-2], sb[-1])
-
-
-MATMUL = register("matmul", lambda a, b: a @ b, _matmul_vjp, _matmul_shape)
+MATMUL = register("matmul", lambda a, b: a @ b, _matmul_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -308,21 +236,7 @@ def _reshape_vjp(grad, out, inputs, needs, params):
     return (grad.reshape(inputs[0].shape),)
 
 
-def _reshape_shape(s, shape=None):
-    shape = tuple(shape)
-    if -1 in shape:
-        total = 1
-        for dim in s:
-            total *= dim
-        known = 1
-        for dim in shape:
-            if dim != -1:
-                known *= dim
-        shape = tuple(total // known if dim == -1 else dim for dim in shape)
-    return shape
-
-
-RESHAPE = register("reshape", _reshape_forward, _reshape_vjp, _reshape_shape)
+RESHAPE = register("reshape", _reshape_forward, _reshape_vjp)
 
 
 def _transpose_forward(a, axes=None, inverse=None):
@@ -333,8 +247,7 @@ def _transpose_vjp(grad, out, inputs, needs, params):
     return (grad.transpose(params["inverse"]),)
 
 
-TRANSPOSE = register("transpose", _transpose_forward, _transpose_vjp,
-                     lambda s, axes=None, inverse=None: tuple(s[a] for a in axes))
+TRANSPOSE = register("transpose", _transpose_forward, _transpose_vjp)
 
 
 def _getitem_forward(a, index=None):
@@ -347,10 +260,7 @@ def _getitem_vjp(grad, out, inputs, needs, params):
     return (full,)
 
 
-# getitem shape depends on the index value; the dispatcher always evaluates
-# it eagerly (fancy indexing is a materialisation point for the lazy graph).
-GETITEM = register("getitem", _getitem_forward, _getitem_vjp,
-                   lambda s, index=None: None)
+GETITEM = register("getitem", _getitem_forward, _getitem_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -371,8 +281,7 @@ def _sum_vjp(grad, out, inputs, needs, params):
     return (np.broadcast_to(g, a.shape),)
 
 
-SUM = register("sum", _sum_forward, _sum_vjp,
-               lambda s, axis=None, keepdims=False: _reduce_shape(s, axis, keepdims))
+SUM = register("sum", _sum_forward, _sum_vjp)
 
 
 def _max_forward(a, axis=None, keepdims=False):
@@ -392,8 +301,7 @@ def _max_vjp(grad, out, inputs, needs, params):
     return (mask * g / np.maximum(normaliser, 1),)
 
 
-MAX = register("max", _max_forward, _max_vjp,
-               lambda s, axis=None, keepdims=False: _reduce_shape(s, axis, keepdims))
+MAX = register("max", _max_forward, _max_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -418,15 +326,7 @@ def _concatenate_vjp(grad, out, inputs, needs, params):
     return grads
 
 
-def _concatenate_shape(*shapes, axis=-1):
-    total = sum(s[axis] for s in shapes)
-    base = list(shapes[0])
-    base[axis] = total
-    return tuple(base)
-
-
-CONCATENATE = register("concatenate", _concatenate_forward, _concatenate_vjp,
-                       _concatenate_shape)
+CONCATENATE = register("concatenate", _concatenate_forward, _concatenate_vjp)
 
 
 def _stack_forward(*arrays, axis=0):
@@ -438,13 +338,7 @@ def _stack_vjp(grad, out, inputs, needs, params):
     return [split[i] if needs[i] else None for i in range(len(inputs))]
 
 
-def _stack_shape(*shapes, axis=0):
-    base = list(shapes[0])
-    base.insert(axis if axis >= 0 else len(base) + 1 + axis, len(shapes))
-    return tuple(base)
-
-
-STACK = register("stack", _stack_forward, _stack_vjp, _stack_shape)
+STACK = register("stack", _stack_forward, _stack_vjp)
 
 
 def _embedding_forward(weight, indices=None):
@@ -459,8 +353,7 @@ def _embedding_vjp(grad, out, inputs, needs, params):
     return (full,)
 
 
-EMBEDDING = register("embedding", _embedding_forward, _embedding_vjp,
-                     lambda s, indices=None: tuple(indices.shape) + (s[-1],))
+EMBEDDING = register("embedding", _embedding_forward, _embedding_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -470,13 +363,10 @@ EMBEDDING = register("embedding", _embedding_forward, _embedding_vjp,
 # (normalisation, attention softmax, the loss) into single primitives: one
 # graph node, one forward call, one VJP — instead of ~10 of each.
 #
-# Saved activations: VJPs are pure functions of (grad, out, inputs, params),
-# so they can always recompute their intermediates — that purity is what
-# lets the lazy backend release and re-derive buffers.  As a *cache*, a
-# forward may deposit intermediates into a mutable ``params["_saved"]`` dict
-# when the caller provides one (the autograd layer does so only while
-# gradients are enabled); the VJP uses the deposit when present and falls
-# back to recomputation when not.  Correctness never depends on the cache.
+# Saved activations: the layer_norm and sdpa forwards deposit intermediates
+# into a mutable ``params["_saved"]`` dict when the caller provides one.  The
+# autograd layer provides it whenever gradients are enabled, which is the
+# only time a node (and so a VJP call) is recorded; the VJPs read it.
 
 def _softmax(x, axis):
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -501,7 +391,7 @@ def _softmax_vjp(grad, out, inputs, needs, params):
     return (gx if narrow is None else gx.astype(narrow),)
 
 
-SOFTMAX = register("softmax", _softmax_forward, _softmax_vjp, _same_shape)
+SOFTMAX = register("softmax", _softmax_forward, _softmax_vjp)
 
 
 def _log_softmax_forward(x, axis=-1):
@@ -521,8 +411,7 @@ def _log_softmax_vjp(grad, out, inputs, needs, params):
     return (gx if narrow is None else gx.astype(narrow),)
 
 
-LOG_SOFTMAX = register("log_softmax", _log_softmax_forward, _log_softmax_vjp,
-                       _same_shape)
+LOG_SOFTMAX = register("log_softmax", _log_softmax_forward, _log_softmax_vjp)
 
 
 def _reduce_acc(dtype: np.dtype) -> np.dtype:
@@ -558,18 +447,10 @@ def _layer_norm_forward(x, scale, shift, eps=1e-6, _saved=None):
 
 
 def _layer_norm_vjp(grad, out, inputs, needs, params):
-    x, scale, shift = inputs
+    _, scale, shift = inputs
     acc = _reduce_acc(grad.dtype)
-    saved = params.get("_saved")
-    if saved and "xhat" in saved:
-        xhat, inv_std = saved["xhat"], saved["inv_std"]
-    else:
-        eps = params["eps"]
-        mean = x.mean(axis=-1, keepdims=True, dtype=acc)
-        centered = x - mean.astype(x.dtype, copy=False)
-        var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=acc)
-        inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
-        xhat = centered * inv_std
+    saved = params["_saved"]
+    xhat, inv_std = saved["xhat"], saved["inv_std"]
     grad_x = grad_scale = grad_shift = None
     if needs[0]:
         g = grad * scale
@@ -589,8 +470,7 @@ def _layer_norm_vjp(grad, out, inputs, needs, params):
     return (grad_x, grad_scale, grad_shift)
 
 
-LAYER_NORM = register("layer_norm", _layer_norm_forward, _layer_norm_vjp,
-                      lambda sx, sscale, sshift, eps=1e-6, _saved=None: sx)
+LAYER_NORM = register("layer_norm", _layer_norm_forward, _layer_norm_vjp)
 
 
 def _sdpa_forward(q, k, v, mask=None, scale=1.0, _saved=None):
@@ -606,16 +486,8 @@ def _sdpa_forward(q, k, v, mask=None, scale=1.0, _saved=None):
 
 def _sdpa_vjp(grad, out, inputs, needs, params):
     q, k, v = inputs
-    mask, scale = params["mask"], params["scale"]
-    saved = params.get("_saved")
-    if saved and "weights" in saved:
-        weights = saved["weights"]
-    else:
-        scores = q @ np.swapaxes(k, -1, -2)
-        scores *= scale
-        if mask is not None:
-            np.copyto(scores, _NEG_INF, where=mask)
-        weights = _softmax(scores, -1)
+    scale = params["scale"]
+    weights = params["_saved"]["weights"]
     grad_q = grad_k = grad_v = None
     if needs[2]:
         grad_v = unbroadcast(np.swapaxes(weights, -1, -2) @ grad, v.shape)
@@ -630,8 +502,7 @@ def _sdpa_vjp(grad, out, inputs, needs, params):
     return (grad_q, grad_k, grad_v)
 
 
-SDPA = register("sdpa", _sdpa_forward, _sdpa_vjp,
-                lambda sq, sk, sv, mask=None, scale=1.0, _saved=None: sq[:-1] + sv[-1:])
+SDPA = register("sdpa", _sdpa_forward, _sdpa_vjp)
 
 
 def _softmax_xent_forward(logits, targets=None, weights=None, denom=1.0):
@@ -655,8 +526,7 @@ def _softmax_xent_vjp(grad, out, inputs, needs, params):
     return (probs if narrow is None else probs.astype(narrow),)
 
 
-SOFTMAX_XENT = register("softmax_xent", _softmax_xent_forward, _softmax_xent_vjp,
-                        lambda s, targets=None, weights=None, denom=1.0: ())
+SOFTMAX_XENT = register("softmax_xent", _softmax_xent_forward, _softmax_xent_vjp)
 
 
 def _astype_forward(a, dtype=None):
@@ -667,6 +537,4 @@ def _astype_vjp(grad, out, inputs, needs, params):
     return (grad.astype(inputs[0].dtype),)
 
 
-# Not elementwise: the lazy backend's fusion reuses ``out=`` buffers of the
-# chain's dtype, which a dtype-changing op cannot share.
-ASTYPE = register("astype", _astype_forward, _astype_vjp, _same_shape)
+ASTYPE = register("astype", _astype_forward, _astype_vjp)

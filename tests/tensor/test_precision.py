@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tensor as T
-from repro.tensor import KVCache, Tensor, no_grad, use_backend, use_precision
+from repro.tensor import KVCache, Tensor, no_grad, use_precision
 from repro.tensor import functional as F
 from repro.tensor import precision as PR
 from repro.moe.configs import get_config
@@ -99,7 +99,7 @@ def test_pure_fp64_bit_identical_under_explicit_policy():
 
 
 # ----------------------------------------------------------------------
-# use_precision semantics (mirrors use_backend).
+# use_precision semantics.
 # ----------------------------------------------------------------------
 def test_use_precision_context_manager_restores():
     assert T.current_precision_name() == "pure_fp64"
@@ -184,7 +184,7 @@ def test_astype_rejects_unsupported():
 
 
 # ----------------------------------------------------------------------
-# Property-based parity: pure_fp64 exact, fp32/mixed within tolerance.
+# Property-based parity: fp32/mixed within tolerance of pure_fp64.
 # ----------------------------------------------------------------------
 CHAIN_OPS = [
     lambda t, o: t + o,
@@ -200,11 +200,11 @@ CHAIN_OPS = [
 ]
 
 
-def _chain_loss_and_grads(policy, backend, ops, seed):
+def _chain_loss_and_grads(policy, ops, seed):
     rng = np.random.default_rng(seed)
     a_data = rng.standard_normal((3, 4))
     b_data = rng.standard_normal((3, 4))
-    with use_precision(policy), use_backend(backend):
+    with use_precision(policy):
         a = Tensor(a_data, requires_grad=True)
         b = Tensor(b_data, requires_grad=True)
         t = a
@@ -218,28 +218,14 @@ def _chain_loss_and_grads(policy, backend, ops, seed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(ops=st.lists(st.integers(min_value=0, max_value=len(CHAIN_OPS) - 1),
-                    min_size=1, max_size=6),
-       seed=st.integers(min_value=0, max_value=2**16))
-def test_pure_fp64_policy_exact_on_random_graphs(ops, seed):
-    ref = _chain_loss_and_grads("pure_fp64", "eager", ops, seed)
-    for backend in ("eager", "lazy"):
-        got = _chain_loss_and_grads("pure_fp64", backend, ops, seed)
-        assert got[0] == ref[0]
-        np.testing.assert_array_equal(got[1], ref[1])
-        np.testing.assert_array_equal(got[2], ref[2])
-
-
-@settings(max_examples=20, deadline=None)
 @given(policy=st.sampled_from(["pure_fp32", "mixed"]),
-       backend=st.sampled_from(["eager", "lazy"]),
        ops=st.lists(st.integers(min_value=0, max_value=len(CHAIN_OPS) - 1),
                     min_size=1, max_size=6),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_reduced_precision_within_tolerance_on_random_graphs(
-        policy, backend, ops, seed):
-    ref = _chain_loss_and_grads("pure_fp64", "eager", ops, seed)
-    got = _chain_loss_and_grads(policy, backend, ops, seed)
+        policy, ops, seed):
+    ref = _chain_loss_and_grads("pure_fp64", ops, seed)
+    got = _chain_loss_and_grads(policy, ops, seed)
     # fp32 keeps ~7 significant digits; chains of <=6 ops plus a quadratic
     # loss stay well inside 1e-4 relative.
     scale = max(1.0, abs(ref[0]))
@@ -342,49 +328,3 @@ def test_model_kvcache_dtype_follows_policy():
                 logits = model(enc, enc).logits
             assert logits.dtype == np.dtype(expected)
         assert generated.shape == (2, 4)
-
-
-# ----------------------------------------------------------------------
-# Lazy-backend dtype plumbing.
-# ----------------------------------------------------------------------
-def test_lazy_buffer_pool_keys_on_dtype():
-    """Same-shape fp32 and fp64 chains in one graph must not share
-    recycled buffers."""
-    rng = np.random.default_rng(3)
-    a_data = rng.standard_normal((8, 8))
-    with use_backend("lazy"), no_grad():
-        a64 = Tensor(a_data)
-        a32 = a64.astype(np.float32)
-        chain64 = ((a64 + 1.0) * 2.0).tanh() + a64
-        chain32 = ((a32 + 1.0) * 2.0).tanh() + a32
-        total = chain64 + chain32.astype(np.float64)
-        value = np.array(total.data, copy=True)
-    expected64 = np.tanh((a_data + 1.0) * 2.0) + a_data
-    a32_np = a_data.astype(np.float32)
-    expected32 = np.tanh((a32_np + np.float32(1.0)) * np.float32(2.0)) + a32_np
-    np.testing.assert_allclose(value, expected64 + expected32, rtol=1e-6)
-
-
-def test_lazy_expr_tracks_dtype():
-    with use_backend("lazy"), use_precision("mixed"), no_grad():
-        x = Tensor([[1.0, 2.0]])
-        assert x.dtype == np.float32
-        y = x + x
-        assert y.dtype == np.float32          # inferred, not materialised
-        z = y.astype(np.float64)
-        assert z.dtype == np.float64
-        assert z.numpy().dtype == np.float64
-
-
-def test_greedy_decode_stands_down_lazy_backend():
-    config = get_config("tiny_moe_8")
-    rng = np.random.default_rng(0)
-    enc = rng.integers(1, config.vocab_size, size=(3, 5))
-    model = SwitchTransformer(config, seed=0).eval()
-    eager_tokens, _ = model.greedy_decode(enc, bos_id=1, eos_id=0,
-                                          max_new_tokens=4)
-    with use_backend("lazy"):
-        lazy_tokens, _ = model.greedy_decode(enc, bos_id=1, eos_id=0,
-                                             max_new_tokens=4)
-        assert T.current_backend() == "lazy"   # restored after stand-down
-    np.testing.assert_array_equal(eager_tokens, lazy_tokens)

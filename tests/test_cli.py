@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 
 import pytest
 
@@ -83,18 +82,6 @@ class TestCli:
     def test_seed_rejected_for_simperf(self):
         with pytest.raises(SystemExit):
             main(["simperf", "--quick", "--seed", "1"])
-
-    def test_tensorperf_quick_smokes_without_writing_json(self, tmp_path,
-                                                          monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["tensorperf", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "train steps/s" in out
-        for token in ("tiny", "mini", "eager", "lazy"):
-            assert token in out
-        # Only --full (which adds the serving-scale rung) writes the
-        # artifact — a smoke shape must never overwrite the trajectory.
-        assert not os.path.exists(tmp_path / "BENCH_tensorperf.json")
 
     def test_tensorperf_rejects_workers_and_seed(self):
         with pytest.raises(SystemExit):
