@@ -161,3 +161,23 @@ class TestGeneration:
             entries = [e for e in step_trace if e.stack == "decoder"]
             assert len(entries) == decoder_blocks
             assert [e.moe_block_index for e in entries] == list(range(decoder_blocks))
+
+    def test_shares_the_conventional_decode_loop(self):
+        # Defined in the class body (not only inherited), so wrappers that
+        # patch ``vars(cls)["greedy_decode"]`` find it, yet one loop body.
+        assert (vars(PreGatedSwitchTransformer)["greedy_decode"]
+                is SwitchTransformer.greedy_decode)
+
+    def test_cached_decode_matches_full_recompute(self, pregated, config, rng):
+        """Each KV-cached greedy token is the argmax of a full forward pass."""
+        src = rng.integers(4, config.vocab_size, (3, 6))
+        generated, _ = pregated.greedy_decode(src, bos_id=1, eos_id=2,
+                                              max_new_tokens=5)
+        finished = np.zeros(len(src), dtype=bool)
+        for t in range(1, generated.shape[1]):
+            logits = pregated(src, generated[:, :t]).logits.numpy()
+            expected = np.argmax(logits[:, -1, :], axis=-1)
+            live = ~finished
+            assert np.array_equal(generated[live, t], expected[live])
+            assert (generated[finished, t] == 2).all()
+            finished |= generated[:, t] == 2

@@ -149,6 +149,21 @@ class TestGeneration:
         b, _ = tiny_moe_model.greedy_decode(src, bos_id=1, eos_id=2, max_new_tokens=4)
         assert np.array_equal(a, b)
 
+    def test_cached_decode_matches_full_recompute(self, tiny_moe_model, rng):
+        """Each KV-cached greedy token is the argmax of a full forward pass."""
+        cfg = tiny_moe_model.config
+        src = rng.integers(4, cfg.vocab_size, (3, 5))
+        generated, _ = tiny_moe_model.greedy_decode(src, bos_id=1, eos_id=2,
+                                                    max_new_tokens=5)
+        finished = np.zeros(len(src), dtype=bool)
+        for t in range(1, generated.shape[1]):
+            logits = tiny_moe_model(src, generated[:, :t]).logits.numpy()
+            expected = np.argmax(logits[:, -1, :], axis=-1)
+            live = ~finished
+            assert np.array_equal(generated[live, t], expected[live])
+            assert (generated[finished, t] == 2).all()
+            finished |= generated[:, t] == 2
+
 
 class TestParameterAccounting:
     def test_model_counts_match_config_arithmetic(self):
