@@ -760,6 +760,13 @@ class ShardedPlacement:
                 if evicted is not None:
                     evicted_tag = f"cached_expert:{evicted[0]}:{evicted[1]}"
                     self.free_expert(evicted_tag)
+            # Fetched experts the cache did not keep (prefetch_all fetches
+            # unactivated ones) are transient, like uncached fetches.
+            kept = {f"cached_expert:{gb}:{expert_id}"
+                    for expert_id in self.cache.resident_for_block(gb)}
+            for tag in fetched_tags:
+                if tag not in kept:
+                    self.free_expert(tag)
             return
         for tag in fetched_tags:
             self.free_expert(tag)

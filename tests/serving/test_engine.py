@@ -223,3 +223,21 @@ class TestCachingIntegration:
         trace = gen.request_trace(input_length=8, output_length=8)
         engine.run_request(trace)
         assert cache.stats.accesses > 0
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "lifo"])
+    def test_prefetch_all_cache_holds_at_most_capacity_extra(self, policy):
+        """Fetched experts the cache does not keep are freed after the block.
+
+        prefetch_all fetches every expert of a block but caches only the
+        activated ones, so with a cache the peak may exceed the uncached
+        peak by at most the cache's own capacity.
+        """
+        config = get_config("switch_base_64")
+        traces = TraceGenerator(config, skew=1.2, seed=0).workload(
+            3, input_length=8, output_length=4)
+        capacity = 8
+        uncached = make_engine("prefetch_all", config).run_workload(traces)
+        cached = make_engine("prefetch_all", config, cache_policy=policy,
+                             cache_capacity=capacity).run_workload(traces)
+        assert cached.peak_gpu_bytes <= (uncached.peak_gpu_bytes
+                                         + capacity * config.expert_bytes())
