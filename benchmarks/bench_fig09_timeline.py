@@ -13,7 +13,7 @@ from conftest import ENGINE_CONFIG, emit
 from repro.analysis import FigureReport
 from repro.moe import get_config
 from repro.serving import DESIGN_LABELS, make_engine
-from repro.system import ExecutionTimeline, Stream
+from repro.system import ArrayTimeline, Stream
 from repro.workloads import TraceGenerator
 
 CONFIG = get_config("switch_base_64")
@@ -26,7 +26,7 @@ def run_timeline_study():
     timelines = {}
     for design in DESIGNS:
         engine = make_engine(design, CONFIG, engine_config=ENGINE_CONFIG)
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         engine.run_decoder_iteration(activations, timeline=timeline)
         timelines[design] = timeline
     return timelines

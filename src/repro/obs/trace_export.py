@@ -1,6 +1,6 @@
 """Chrome trace-event (Perfetto) JSON export of timelines and span trees.
 
-The export replaces :meth:`ExecutionTimeline.render_ascii` as the way to
+The export replaces :meth:`ArrayTimeline.render_ascii` as the way to
 *see* pre-gating overlap: load the emitted file in https://ui.perfetto.dev
 (or chrome://tracing) and each device renders as a process with one track
 per hardware stream — compute kernels overlapping expert fetches on the
@@ -67,7 +67,7 @@ def timeline_trace_events(timeline) -> List[dict]:
     """Trace events for a trace-recording timeline's full op dump.
 
     ``timeline`` is any object exposing ``to_records()`` in the shape of
-    :meth:`ExecutionTimeline.to_records` (raises in no-trace mode — the
+    :meth:`ArrayTimeline.to_records` (raises in no-trace mode — the
     trace is the export's substrate).
     """
     records = sorted(timeline.to_records(),

@@ -42,7 +42,7 @@ from ..system.cache import ExpertCache
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import ArrayTimeline, ExecutionTimeline, OpBatch
+from ..system.timeline import ArrayTimeline, OpBatch
 from ..workloads.traces import IterationActivations, RequestTrace
 from .metrics import (BlockLatencyRecord, IterationResult, RequestResult,
                       WorkloadResult)
@@ -110,7 +110,7 @@ class ServingEngine:
             activation_level=self.engine_config.activation_level)
         # Carry-over of a trailing all-to-all combine between consecutive
         # passes on the same timeline (expert-parallel replicas only).
-        self._carry: "tuple[ExecutionTimeline, List[int]] | None" = None
+        self._carry: "tuple[ArrayTimeline, List[int]] | None" = None
 
     # ------------------------------------------------------------------
     # Placement delegation (kept on the engine for backward compatibility)
@@ -139,14 +139,14 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Public simulation API
     # ------------------------------------------------------------------
-    def _consume_carry(self, timeline: ExecutionTimeline) -> List[int]:
+    def _consume_carry(self, timeline: ArrayTimeline) -> List[int]:
         """Pending cross-pass deps for ``timeline`` (expert-parallel only)."""
         if self._carry is not None and self._carry[0] is timeline:
             return self._carry[1]
         return []
 
     def _run_pass(self, part: str, iteration: int,
-                  timeline: Optional[ExecutionTimeline],
+                  timeline: Optional[ArrayTimeline],
                   emit: Callable[[OpBatch, List[int]], EmittedPass]
                   ) -> IterationResult:
         """Emit one pass as an op batch, commit it and read back latencies.
@@ -190,7 +190,7 @@ class ServingEngine:
     def run_decoder_iteration(self, activations: IterationActivations,
                               query_tokens: int = 1, self_kv_tokens: int = 1,
                               cross_kv_tokens: int = 32,
-                              timeline: Optional[ExecutionTimeline] = None,
+                              timeline: Optional[ArrayTimeline] = None,
                               iteration: int = 0) -> IterationResult:
         """Simulate a single decoder iteration (all decoder layers, one token)."""
         return self._run_pass(
@@ -202,7 +202,7 @@ class ServingEngine:
                 extra_deps=carry))
 
     def run_encoder_pass(self, activations: IterationActivations, input_tokens: int,
-                         timeline: Optional[ExecutionTimeline] = None) -> IterationResult:
+                         timeline: Optional[ArrayTimeline] = None) -> IterationResult:
         """Simulate the encoder pass over ``input_tokens`` tokens."""
         return self._run_pass(
             "encoder", 0, timeline,

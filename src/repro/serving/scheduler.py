@@ -108,7 +108,7 @@ class _RoundRecord:
     first_index: Tuple[int, ...]
     last_index: Tuple[int, ...]
     lane_free_before: Dict[Tuple[Stream, int], float]
-    #: :meth:`ExecutionTimeline.replay_snapshot` taken after the commit.
+    #: :meth:`ArrayTimeline.replay_snapshot` taken after the commit.
     snapshot: Dict[str, object]
     #: :meth:`ModelPlacement.replay_counters` taken after the round.
     counters: Tuple[int, ...]
@@ -169,7 +169,7 @@ class _RoundReplay:
       open.
 
     A planned window of ``n`` rounds is applied in closed form:
-    :meth:`~repro.system.timeline.ExecutionTimeline.fast_forward` jumps the
+    :meth:`~repro.system.timeline.ArrayTimeline.fast_forward` jumps the
     lane clocks and aggregates, the placement counters bump by ``n`` deltas,
     and each request's token clock is extended with its extrapolated
     per-round completion times.  Exact scheduling resumes on the next round.

@@ -46,7 +46,7 @@ from .tiers import (
     TransferHop,
     merge_tier_stats,
 )
-from .timeline import ExecutionTimeline, Stream, TimelineOp
+from .timeline import ArrayTimeline, Stream, TimelineOp
 
 __all__ = [
     "CacheStats",
@@ -87,7 +87,7 @@ __all__ = [
     "merge_tier_stats",
     "GpuLatencyModel",
     "LayerCost",
-    "ExecutionTimeline",
+    "ArrayTimeline",
     "Stream",
     "TimelineOp",
 ]

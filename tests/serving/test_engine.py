@@ -14,9 +14,10 @@ from repro.serving import (
     make_engine,
 )
 from repro.system import ExpertCache, PAPER_SYSTEM, SSD_SYSTEM, Stream
-from repro.system.timeline import ExecutionTimeline
+from repro.system.timeline import ArrayTimeline
 from repro.workloads import TraceGenerator
 
+from ..system.reference_timeline import reschedule
 
 CONFIG = get_config("switch_base_64")
 DESIGNS = ("gpu_only", "pregated", "ondemand", "prefetch_all")
@@ -97,28 +98,43 @@ class TestDecoderIteration:
 
     def test_gpu_only_has_no_copy_ops(self, single_iteration):
         engine = make_engine("gpu_only", CONFIG)
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         engine.run_decoder_iteration(single_iteration, timeline=timeline)
         assert timeline.stream_busy_time(Stream.COPY) == 0.0
 
     def test_offload_designs_issue_copies(self, single_iteration):
         for design in ("pregated", "ondemand", "prefetch_all"):
-            timeline = ExecutionTimeline()
+            timeline = ArrayTimeline(record_trace=True)
             make_engine(design, CONFIG).run_decoder_iteration(single_iteration, timeline=timeline)
             assert timeline.stream_busy_time(Stream.COPY) > 0.0
 
     def test_prefetch_all_moves_every_expert(self, single_iteration):
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         make_engine("prefetch_all", CONFIG).run_decoder_iteration(single_iteration,
                                                                   timeline=timeline)
         copies = timeline.ops_by_category("expert_transfer")
         assert len(copies) == CONFIG.num_moe_blocks("decoder") * CONFIG.num_experts
 
     def test_pregated_moves_only_activated_experts(self, single_iteration):
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         make_engine("pregated", CONFIG).run_decoder_iteration(single_iteration, timeline=timeline)
         copies = timeline.ops_by_category("expert_transfer")
         assert len(copies) == sum(len(block) for block in single_iteration)
+
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_trace_matches_reference(self, single_iteration, design, num_gpus):
+        """A pass's ops, rescheduled by the test-only reference, land at the
+        same times and give the same exposed copy time."""
+        timeline = ArrayTimeline(record_trace=True)
+        engine = make_engine(design, CONFIG, num_gpus=num_gpus)
+        engine.run_encoder_pass(single_iteration, 4, timeline=timeline)
+        engine.run_decoder_iteration(single_iteration, timeline=timeline)
+        reference = reschedule(timeline.ops)
+        assert [(op.start, op.end) for op in timeline.ops] == \
+            [(op.start, op.end) for op in reference.ops]
+        assert timeline.exposed_copy_time() == pytest.approx(
+            reference.exposed_copy_time(), abs=1e-9)
 
     def test_block_latency_ordering_matches_figure_10(self, single_iteration):
         """GPU-only < Pre-gated < OnDemand << Prefetch-all, per MoE block."""
@@ -204,7 +220,7 @@ class TestCachingIntegration:
         def total_copies(cache):
             engine = make_engine("ondemand", config, cache=cache)
             engine.load_model()
-            timeline = ExecutionTimeline()
+            timeline = ArrayTimeline(record_trace=True)
             for trace in traces:
                 for step, acts in enumerate(trace.decode_activations):
                     engine.run_decoder_iteration(acts, self_kv_tokens=step + 1,

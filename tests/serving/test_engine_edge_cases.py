@@ -5,7 +5,7 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import EngineConfig, make_engine
-from repro.system import ExecutionTimeline, Stream
+from repro.system import ArrayTimeline, Stream
 from repro.system.hardware import PAPER_SYSTEM
 from repro.workloads import TraceGenerator, expected_distinct_experts
 
@@ -16,7 +16,7 @@ class TestDenseModelServing:
     def test_dense_model_has_no_moe_blocks_or_copies(self):
         config = get_config("t5_base")
         engine = make_engine("pregated", config)
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         result = engine.run_decoder_iteration([], timeline=timeline)
         assert result.block_latencies == []
         assert timeline.stream_busy_time(Stream.COPY) == 0.0
@@ -37,7 +37,7 @@ class TestActivationLevelTwoEngine:
         config = get_config("switch_base_64")
         activations = TraceGenerator(config, seed=0).iteration_activations(
             1, config.num_moe_blocks("decoder"))
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         engine = make_engine("pregated", config,
                              engine_config=EngineConfig(activation_level=2))
         result = engine.run_decoder_iteration(activations, timeline=timeline)
@@ -76,7 +76,7 @@ class TestEncoderPass:
         expected = expected_distinct_experts(64, config.num_experts)
         assert mean_active == pytest.approx(expected, rel=0.35)
 
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         engine = make_engine("pregated", config)
         result = engine.run_encoder_pass(trace.encoder_activations, 64, timeline=timeline)
         copies = timeline.ops_by_category("expert_transfer")
@@ -101,7 +101,7 @@ class TestCrossDesignInvariants:
             1, config.num_moe_blocks("decoder"))
         busy = {}
         for design in ("pregated", "ondemand"):
-            timeline = ExecutionTimeline()
+            timeline = ArrayTimeline(record_trace=True)
             make_engine(design, config).run_decoder_iteration(activations, timeline=timeline)
             busy[design] = timeline.stream_busy_time(Stream.COPY)
         assert busy["pregated"] == pytest.approx(busy["ondemand"], rel=1e-9)
@@ -118,7 +118,7 @@ class TestCrossDesignInvariants:
     def test_transfer_time_matches_link_model(self):
         config = get_config("switch_base_64")
         activations = [[5]] * config.num_moe_blocks("decoder")
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         make_engine("ondemand", config).run_decoder_iteration(activations, timeline=timeline)
         expected = PAPER_SYSTEM.expert_transfer_time(config.expert_bytes())
         for op in timeline.ops_by_category("expert_transfer"):

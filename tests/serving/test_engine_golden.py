@@ -4,8 +4,9 @@ Pins every number the engine reports — encoder/decode time, each
 iteration's duration, each MoE block's latency / exposed transfer time /
 active-expert count, peak GPU bytes and tier stats — as ``float.hex``
 strings over a grid of designs × placements, plus the full op records of a
-Figure 9 ``ExecutionTimeline`` passed in by the caller.  Any change to the
-emission path or the timeline kernel that moves a single bit fails here.
+Figure 9 trace-recording ``ArrayTimeline`` passed in by the caller.  Any
+change to the emission path or the timeline kernel that moves a single bit
+fails here.
 
 Regenerate (only when a change is *meant* to move these numbers)::
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import make_engine
-from repro.system import ExecutionTimeline, PAPER_SYSTEM, SSD_SYSTEM
+from repro.system import PAPER_SYSTEM, SSD_SYSTEM, ArrayTimeline
 from repro.workloads import TraceGenerator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_engine.json")
@@ -84,7 +85,7 @@ def _fig09_case() -> dict:
         num_tokens=1, num_moe_blocks=CONFIG.num_moe_blocks("decoder"))
     out = {}
     for design in DESIGNS:
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         make_engine(design, CONFIG).run_decoder_iteration(
             activations, timeline=timeline)
         out[design] = [

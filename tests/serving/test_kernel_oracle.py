@@ -1,11 +1,13 @@
-"""The array kernel against the per-op reference on real serve batches.
+"""The timeline kernel against the independent reference on real serve batches.
 
 Every :class:`~repro.system.timeline.OpBatch` a replay-off serve hands to
 :meth:`ArrayTimeline.commit_batch` is captured with the kernel's start/end
-arrays, then re-committed in order into a fresh trace-recording
-:class:`~repro.system.timeline.ExecutionTimeline`, which resolves the same
-ops one :meth:`~ExecutionTimeline.add` at a time.  Times must agree bit for
-bit; summed aggregates (which the kernel folds per batch) to 1e-9.
+arrays, then re-committed in order into the test-only
+:class:`~tests.system.reference_timeline.ReferenceTimeline`, a naive per-op
+scheduler that shares no scheduling or aggregate code with the kernel.
+Times must agree bit for bit; summed aggregates (which the kernel folds per
+batch) to 1e-9.  Kernels broken in each of the ways the oracle exists to
+catch must fail the same comparison.
 
 The scenarios cover the op shapes serving produces: plain rounds, expert
 caches, SSD fetches through a DRAM stage, expert-parallel shards whose
@@ -13,14 +15,18 @@ trailing all-to-all combines carry into the next round's batch, and Poisson
 arrivals that gate ops through ``earliest_start``.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.moe import get_config
 from repro.serving import make_scheduler
 from repro.system import SSD_SYSTEM
-from repro.system.timeline import ArrayTimeline, ExecutionTimeline, Stream
+from repro.system.timeline import ArrayTimeline, Stream
 from repro.workloads import TimedRequest, TraceGenerator
+
+from ..system.reference_timeline import ReferenceTimeline
 
 CONFIG = get_config("switch_base_64")
 
@@ -77,43 +83,136 @@ def captured_serve(monkeypatch, name):
     return result, scheduler.last_timeline, captured
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_kernel_matches_per_op_reference(monkeypatch, name):
-    _, kernel, batches = captured_serve(monkeypatch, name)
-    assert len(batches) > 1
-    reference = ExecutionTimeline(record_trace=True)
-    for batch, starts, ends in batches:
-        ref_starts, ref_ends = reference.commit_batch(batch)
-        assert starts.tolist() == ref_starts.tolist(), name
-        assert ends.tolist() == ref_ends.tolist(), name
+def assert_matches_reference(kernel, committed):
+    """``kernel`` committed ``committed`` [(batch, starts, ends)]; check it.
+
+    Starts and ends must be bit-identical to the reference's; every
+    aggregate the kernel reports must match the reference's brute-force
+    value to 1e-9 (exactly for counts).
+    """
+    reference = ReferenceTimeline()
+    for batch, starts, ends in committed:
+        ref_starts, ref_ends = reference.commit(batch)
+        assert starts.tolist() == ref_starts
+        assert ends.tolist() == ref_ends
 
     assert kernel.num_ops == reference.num_ops
-    assert kernel.makespan == pytest.approx(reference.makespan, abs=1e-9)
+    assert kernel.makespan == reference.makespan
+    assert kernel.devices() == reference.devices()
     assert kernel.exposed_copy_time() == pytest.approx(
         reference.exposed_copy_time(), abs=1e-9)
-    assert kernel.devices() == reference.devices()
-    # Sums are compared where the reference accumulated something, so no
-    # check degenerates into 0.0 == 0.0.
     for device in reference.devices():
+        assert kernel.exposed_copy_time(device) == pytest.approx(
+            reference.exposed_copy_time(device), abs=1e-9)
         assert kernel.device_utilisation(device) == pytest.approx(
             reference.device_utilisation(device), abs=1e-9)
         for stream in Stream:
-            busy = reference.stream_busy_time(stream, device)
-            if busy:
-                assert kernel.stream_busy_time(stream, device) == \
-                    pytest.approx(busy, abs=1e-9)
-    present = [c for c in CATEGORIES if reference.category_count(c)]
-    assert {"non_moe", "gate", "expert_execution"} <= set(present)
+            assert kernel.stream_busy_time(stream, device) == pytest.approx(
+                reference.stream_busy_time(stream, device), abs=1e-9)
+            assert kernel.stream_free_time(stream, device) == \
+                reference.stream_free_time(stream, device)
     for category in CATEGORIES:
         assert kernel.category_count(category) == \
             reference.category_count(category)
-    for category in present:
         assert kernel.category_time(category) == pytest.approx(
             reference.category_time(category), abs=1e-9)
-        moved = reference.category_bytes(category)
-        if moved:
-            assert kernel.category_bytes(category) == pytest.approx(
-                moved, abs=1e-9)
+        assert kernel.category_bytes(category) == pytest.approx(
+            reference.category_bytes(category), abs=1e-9)
+    return reference
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_kernel_matches_reference(monkeypatch, name):
+    _, kernel, batches = captured_serve(monkeypatch, name)
+    assert len(batches) > 1
+    reference = assert_matches_reference(kernel, batches)
+    # The sums compared above are non-trivial: every scenario moves bytes,
+    # stalls compute on a transfer and runs the core op categories.
+    present = {c for c in CATEGORIES if reference.category_time(c)}
+    assert {"non_moe", "gate", "expert_execution",
+            "expert_transfer"} <= present
+    assert reference.category_bytes("expert_transfer") > 0.0
+    assert reference.exposed_copy_time() > 0.0
+
+
+class _StaleLaneClock(dict):
+    """Lane clocks read one op late: the end of the op before the last."""
+
+    def __init__(self):
+        super().__init__()
+        self.previous = {}
+
+    def __setitem__(self, lane, end):
+        self.previous[lane] = dict.get(self, lane, 0.0)
+        super().__setitem__(lane, end)
+
+    def get(self, lane, default=None):
+        return self.previous.get(lane, default)
+
+
+class _ForgetfulDeps(dict):
+    """Ops of earlier batches read as having ended at time 0."""
+
+    def get(self, op_id, default=None):
+        info = super().get(op_id, default)
+        return info if info is None else (0.0, info[1])
+
+
+class _DroppedStalls(dict):
+    """Compute stalls are never booked as exposed copy time."""
+
+    def __setitem__(self, device, stall):
+        pass
+
+
+class LaneFreeOffByOne(ArrayTimeline):
+    def __init__(self):
+        super().__init__()
+        self._lane_free = _StaleLaneClock()
+
+
+class IgnoresEarliestStart(ArrayTimeline):
+    def commit_batch(self, batch):
+        ungated = copy.copy(batch)
+        ungated.earliest = [0.0] * len(batch)
+        return super().commit_batch(ungated)
+
+
+class IgnoresCrossBatchDeps(ArrayTimeline):
+    def __init__(self):
+        super().__init__()
+        self._live_info = _ForgetfulDeps()
+
+
+class UncountedStalls(ArrayTimeline):
+    def __init__(self):
+        super().__init__()
+        self._lane_exposed = _DroppedStalls()
+
+
+#: Broken kernel → the scenario whose op shapes expose the flaw.
+BROKEN_KERNELS = {
+    "lane_free_off_by_one": (LaneFreeOffByOne, "pregated_plain"),
+    "earliest_start_ignored": (IgnoresEarliestStart, "prefetch_all_poisson"),
+    "cross_batch_deps_ignored": (IgnoresCrossBatchDeps, "pregated_2gpu"),
+    "stalls_not_exposed": (UncountedStalls, "ondemand_lru"),
+}
+
+
+def recommit(kernel, batches):
+    return [(batch, *kernel.commit_batch(batch)) for batch, _, _ in batches]
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_KERNELS))
+def test_reference_catches_broken_kernel(monkeypatch, broken):
+    """The oracle can fail: each deliberately broken kernel is caught."""
+    broken_kernel, scenario = BROKEN_KERNELS[broken]
+    _, _, batches = captured_serve(monkeypatch, scenario)
+    sound = ArrayTimeline()
+    assert_matches_reference(sound, recommit(sound, batches))
+    kernel = broken_kernel()
+    with pytest.raises(AssertionError):
+        assert_matches_reference(kernel, recommit(kernel, batches))
 
 
 @pytest.mark.parametrize("name,feature", [

@@ -6,7 +6,7 @@ from repro.moe import get_config
 from repro.serving import CrossRequestPrefetcher, IterationSimulator, ModelPlacement
 from repro.system.hardware import PAPER_SYSTEM
 from repro.system.performance import GpuLatencyModel
-from repro.system.timeline import ExecutionTimeline
+from repro.system.timeline import ArrayTimeline
 from repro.workloads import TraceGenerator
 
 CONFIG = get_config("switch_base_64")
@@ -41,7 +41,7 @@ class TestPrefetchRound:
         activations = activations_for()
         plan = simulator.make_plan("decoder", activations)
 
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         batch_round = prefetcher.begin_round()
         for _ in range(3):
             batch_round.register_plan(placement, "decoder", plan, activations)
@@ -59,7 +59,7 @@ class TestPrefetchRound:
     def test_second_round_hits_retained_experts(self):
         placement, simulator, prefetcher = make_stack()
         activations = activations_for()
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         for round_index in range(2):
             batch_round = prefetcher.begin_round()
             plan = simulator.make_plan("decoder", activations)
@@ -99,7 +99,7 @@ class TestPrefetchRound:
         placement, simulator, prefetcher = make_stack(capacity=0)
         activations = activations_for()
         plan = simulator.make_plan("decoder", activations)
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         batch_round = prefetcher.begin_round()
         batch_round.register_plan(placement, "decoder", plan, activations)
         decode(simulator, timeline, activations,

@@ -9,7 +9,7 @@ from repro.serving import (
     make_scheduler,
     serve_load,
 )
-from repro.system.timeline import ExecutionTimeline
+from repro.system.timeline import ArrayTimeline
 from repro.workloads import (
     CLOSED_LOOP_QA_LOAD,
     DeterministicArrivals,
@@ -166,7 +166,7 @@ class TestTransferDedup:
         activations = TraceGenerator(CONFIG, seed=6).iteration_activations(
             1, CONFIG.num_moe_blocks("decoder"))
 
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         batch_round = SharedExpertRound()
         plan = simulator.make_plan("decoder", activations)
         for _ in range(3):  # three requests with identical activations

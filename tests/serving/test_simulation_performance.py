@@ -6,8 +6,8 @@ Two contracts:
   aggregates + op retirement, the production default) reports *exactly* the
   same load metrics as trace mode, across designs, multi-GPU replicas and
   SSD staging, with round replay off and on; and in trace mode, the
-  incremental aggregates agree with the first-principles trace scans to
-  1e-9.
+  incremental aggregates agree to 1e-9 with the test-only reference
+  timeline rescheduling the traced ops from scratch.
 * **Scaling regression** — with replay off and on, total op work grows ~linearly
   with request count while the resident-op window stays bounded (the fix
   for the accidental O(n²) makespan scans).
@@ -24,6 +24,8 @@ from repro.workloads.arrivals import TimedRequest
 from repro.workloads.traces import TraceGenerator
 
 from repro.moe.configs import get_config
+
+from ..system.reference_timeline import reschedule
 
 CONFIG = get_config("switch_base_64")
 
@@ -121,13 +123,17 @@ class TestTraceNoTraceParity:
             assert bare.category_count(category) == traced.category_count(category)
             assert bare.category_bytes(category) == pytest.approx(
                 traced.category_bytes(category), abs=1e-9)
-        # Trace mode's incremental aggregates agree with full trace scans.
-        assert traced.makespan == pytest.approx(traced.scan_makespan(), abs=1e-9)
+        # Trace mode's incremental aggregates agree with the reference
+        # rescheduling the recorded ops from their emitted inputs alone.
+        reference = reschedule(traced.ops)
+        assert [(op.start, op.end) for op in traced.ops] == \
+            [(op.start, op.end) for op in reference.ops]
+        assert traced.makespan == reference.makespan
         assert traced.exposed_copy_time() == pytest.approx(
-            traced.scan_exposed_copy_time(), abs=1e-9)
+            reference.exposed_copy_time(), abs=1e-9)
         for stream in Stream:
             assert traced.stream_busy_time(stream) == pytest.approx(
-                traced.scan_stream_busy_time(stream), abs=1e-9)
+                reference.stream_busy_time(stream), abs=1e-9)
 
 
 class TestScalingRegression:

@@ -3,88 +3,88 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.system.timeline import ExecutionTimeline, Stream
+from repro.system.timeline import ArrayTimeline, Stream
 
 
 class TestScheduling:
     def test_compute_stream_is_fifo(self):
-        tl = ExecutionTimeline()
-        a = tl.add_compute("a", 1.0)
-        b = tl.add_compute("b", 2.0)
+        tl = ArrayTimeline(record_trace=True)
+        a = tl.add("a", Stream.COMPUTE, 1.0)
+        b = tl.add("b", Stream.COMPUTE, 2.0)
         assert a.start == 0.0 and a.end == 1.0
         assert b.start == 1.0 and b.end == 3.0
 
     def test_streams_run_concurrently(self):
-        tl = ExecutionTimeline()
-        tl.add_compute("compute", 5.0)
-        copy = tl.add_copy("copy", 3.0)
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("compute", Stream.COMPUTE, 5.0)
+        copy = tl.add("copy", Stream.COPY, 3.0)
         assert copy.start == 0.0
         assert tl.makespan == 5.0
 
     def test_dependency_across_streams(self):
-        tl = ExecutionTimeline()
-        gate = tl.add_compute("gate", 1.0)
-        copy = tl.add_copy("fetch", 2.0, depends_on=[gate.op_id])
-        execute = tl.add_compute("exec", 1.0, depends_on=[copy.op_id])
+        tl = ArrayTimeline(record_trace=True)
+        gate = tl.add("gate", Stream.COMPUTE, 1.0)
+        copy = tl.add("fetch", Stream.COPY, 2.0, depends_on=[gate.op_id])
+        execute = tl.add("exec", Stream.COMPUTE, 1.0, depends_on=[copy.op_id])
         assert copy.start == pytest.approx(1.0)
         assert execute.start == pytest.approx(3.0)
         assert tl.makespan == pytest.approx(4.0)
 
     def test_overlap_hides_copy(self):
         """A copy issued early finishes under a long compute op (the pre-gated case)."""
-        tl = ExecutionTimeline()
-        tl.add_copy("prefetch", 2.0)
-        tl.add_compute("block_n", 3.0)
-        execute = tl.add_compute("block_n_plus_1", 1.0, depends_on=[0])
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("prefetch", Stream.COPY, 2.0)
+        tl.add("block_n", Stream.COMPUTE, 3.0)
+        execute = tl.add("block_n_plus_1", Stream.COMPUTE, 1.0, depends_on=[0])
         assert execute.start == pytest.approx(3.0)  # no stall
         assert tl.exposed_copy_time() == pytest.approx(0.0)
         assert tl.overlap_efficiency() == pytest.approx(1.0)
 
     def test_serialised_copy_is_exposed(self):
         """A copy that must follow the same block's gate stalls execution (on-demand)."""
-        tl = ExecutionTimeline()
-        gate = tl.add_compute("gate", 0.5)
-        copy = tl.add_copy("fetch", 2.0, depends_on=[gate.op_id])
-        tl.add_compute("exec", 1.0, depends_on=[copy.op_id])
+        tl = ArrayTimeline(record_trace=True)
+        gate = tl.add("gate", Stream.COMPUTE, 0.5)
+        copy = tl.add("fetch", Stream.COPY, 2.0, depends_on=[gate.op_id])
+        tl.add("exec", Stream.COMPUTE, 1.0, depends_on=[copy.op_id])
         assert tl.makespan == pytest.approx(3.5)
         assert tl.exposed_copy_time() == pytest.approx(2.0)
         assert tl.overlap_efficiency() == pytest.approx(0.0)
 
     def test_earliest_start_gates_ops(self):
         """An op may not start before its earliest_start (request arrival)."""
-        tl = ExecutionTimeline()
-        a = tl.add_compute("a", 1.0)
-        b = tl.add_compute("b", 1.0, earliest_start=5.0)
+        tl = ArrayTimeline(record_trace=True)
+        a = tl.add("a", Stream.COMPUTE, 1.0)
+        b = tl.add("b", Stream.COMPUTE, 1.0, earliest_start=5.0)
         assert a.end == pytest.approx(1.0)
         assert b.start == pytest.approx(5.0)
         assert tl.makespan == pytest.approx(6.0)
 
     def test_earliest_start_in_past_is_ignored(self):
-        tl = ExecutionTimeline()
-        tl.add_compute("a", 3.0)
-        b = tl.add_compute("b", 1.0, earliest_start=1.0)
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("a", Stream.COMPUTE, 3.0)
+        b = tl.add("b", Stream.COMPUTE, 1.0, earliest_start=1.0)
         assert b.start == pytest.approx(3.0)
 
     def test_negative_earliest_start_rejected(self):
         with pytest.raises(ValueError):
-            ExecutionTimeline().add_compute("x", 1.0, earliest_start=-1.0)
+            ArrayTimeline(record_trace=True).add("x", Stream.COMPUTE, 1.0, earliest_start=-1.0)
 
     def test_invalid_dependency_rejected(self):
-        tl = ExecutionTimeline()
+        tl = ArrayTimeline(record_trace=True)
         with pytest.raises(ValueError):
-            tl.add_compute("x", 1.0, depends_on=[5])
+            tl.add("x", Stream.COMPUTE, 1.0, depends_on=[5])
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            ExecutionTimeline().add_compute("x", -1.0)
+            ArrayTimeline(record_trace=True).add("x", Stream.COMPUTE, -1.0)
 
 
 class TestQueries:
     def make_timeline(self):
-        tl = ExecutionTimeline()
-        tl.add_compute("a", 1.0, category="non_moe")
-        tl.add_copy("b", 2.0, category="expert_transfer")
-        tl.add_compute("c", 3.0, category="expert_execution", depends_on=[1])
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("a", Stream.COMPUTE, 1.0, category="non_moe")
+        tl.add("b", Stream.COPY, 2.0, category="expert_transfer")
+        tl.add("c", Stream.COMPUTE, 3.0, category="expert_execution", depends_on=[1])
         return tl
 
     def test_stream_busy_time(self):
@@ -106,7 +106,7 @@ class TestQueries:
         assert records[2]["start"] >= records[1]["end"] - 1e-12
 
     def test_empty_timeline(self):
-        tl = ExecutionTimeline()
+        tl = ArrayTimeline(record_trace=True)
         assert tl.makespan == 0.0
         assert tl.overlap_efficiency() == 1.0
         assert tl.render_ascii() == "(empty timeline)"
@@ -127,46 +127,46 @@ class TestExposedCopyTime:
 
     def test_trailing_copy_not_counted(self):
         """A copy extending past the last compute op stalls nothing."""
-        tl = ExecutionTimeline()
-        tl.add_compute("a", 1.0)
-        tl.add_copy("background", 5.0)
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("a", Stream.COMPUTE, 1.0)
+        tl.add("background", Stream.COPY, 5.0)
         # Old formula: makespan(5) - compute_busy(1) = 4.  No compute op
         # ever waited on the copy, so nothing is exposed.
         assert tl.exposed_copy_time() == pytest.approx(0.0)
 
     def test_arrival_gap_not_counted(self):
         """Idle time waiting for a request arrival is not a copy stall."""
-        tl = ExecutionTimeline()
-        tl.add_compute("req0", 1.0)
-        tl.add_copy("fetch", 1.5)
-        tl.add_compute("req1", 1.0, earliest_start=10.0)
+        tl = ArrayTimeline(record_trace=True)
+        tl.add("req0", Stream.COMPUTE, 1.0)
+        tl.add("fetch", Stream.COPY, 1.5)
+        tl.add("req1", Stream.COMPUTE, 1.0, earliest_start=10.0)
         assert tl.exposed_copy_time() == pytest.approx(0.0)
 
     def test_partial_stall_counted_exactly(self):
         """Only the portion of the copy outlasting compute is exposed."""
-        tl = ExecutionTimeline()
-        copy = tl.add_copy("prefetch", 3.0)
-        tl.add_compute("block_n", 2.0)
-        execute = tl.add_compute("block_n1", 1.0, depends_on=[copy.op_id])
+        tl = ArrayTimeline(record_trace=True)
+        copy = tl.add("prefetch", Stream.COPY, 3.0)
+        tl.add("block_n", Stream.COMPUTE, 2.0)
+        execute = tl.add("block_n1", Stream.COMPUTE, 1.0, depends_on=[copy.op_id])
         assert execute.start == pytest.approx(3.0)
         assert tl.exposed_copy_time() == pytest.approx(1.0)
 
     def test_stall_after_arrival_gap_counted(self):
         """A copy stall following an arrival gap is still attributed to the copy."""
-        tl = ExecutionTimeline()
-        gate = tl.add_compute("gate", 1.0, earliest_start=5.0)
-        copy = tl.add_copy("fetch", 2.0, depends_on=[gate.op_id])
-        tl.add_compute("exec", 1.0, depends_on=[copy.op_id])
+        tl = ArrayTimeline(record_trace=True)
+        gate = tl.add("gate", Stream.COMPUTE, 1.0, earliest_start=5.0)
+        copy = tl.add("fetch", Stream.COPY, 2.0, depends_on=[gate.op_id])
+        tl.add("exec", Stream.COMPUTE, 1.0, depends_on=[copy.op_id])
         assert tl.exposed_copy_time() == pytest.approx(2.0)
 
     def test_multiple_stalls_accumulate(self):
-        tl = ExecutionTimeline()
-        g1 = tl.add_compute("gate1", 0.5)
-        c1 = tl.add_copy("fetch1", 2.0, depends_on=[g1.op_id])
-        tl.add_compute("exec1", 1.0, depends_on=[c1.op_id])   # stalls 2.0
-        g2 = tl.add_compute("gate2", 0.5)
-        c2 = tl.add_copy("fetch2", 2.0, depends_on=[g2.op_id])
-        tl.add_compute("exec2", 1.0, depends_on=[c2.op_id])   # stalls 2.0
+        tl = ArrayTimeline(record_trace=True)
+        g1 = tl.add("gate1", Stream.COMPUTE, 0.5)
+        c1 = tl.add("fetch1", Stream.COPY, 2.0, depends_on=[g1.op_id])
+        tl.add("exec1", Stream.COMPUTE, 1.0, depends_on=[c1.op_id])   # stalls 2.0
+        g2 = tl.add("gate2", Stream.COMPUTE, 0.5)
+        c2 = tl.add("fetch2", Stream.COPY, 2.0, depends_on=[g2.op_id])
+        tl.add("exec2", Stream.COMPUTE, 1.0, depends_on=[c2.op_id])   # stalls 2.0
         assert tl.exposed_copy_time() == pytest.approx(4.0)
 
 
@@ -174,12 +174,12 @@ class TestExposedCopyTime:
 @given(durations=st.lists(st.floats(min_value=0.001, max_value=5.0), min_size=1, max_size=10))
 def test_property_makespan_at_least_each_stream_busy_time(durations):
     """The makespan can never be shorter than either stream's total busy time."""
-    tl = ExecutionTimeline()
+    tl = ArrayTimeline(record_trace=True)
     for i, duration in enumerate(durations):
         if i % 2 == 0:
-            tl.add_compute(f"c{i}", duration)
+            tl.add(f"c{i}", Stream.COMPUTE, duration)
         else:
-            tl.add_copy(f"x{i}", duration)
+            tl.add(f"x{i}", Stream.COPY, duration)
     assert tl.makespan >= tl.stream_busy_time(Stream.COMPUTE) - 1e-9
     assert tl.makespan >= tl.stream_busy_time(Stream.COPY) - 1e-9
 
@@ -191,13 +191,13 @@ def test_property_dependencies_respected(durations, seed):
     """No op ever starts before all of its dependencies have finished."""
     import numpy as np
     rng = np.random.default_rng(seed)
-    tl = ExecutionTimeline()
+    tl = ArrayTimeline(record_trace=True)
     for i, duration in enumerate(durations):
         deps = list(rng.choice(i, size=min(i, int(rng.integers(0, 3))), replace=False)) if i else []
         if rng.random() < 0.5:
-            tl.add_compute(f"c{i}", duration, depends_on=[int(d) for d in deps])
+            tl.add(f"c{i}", Stream.COMPUTE, duration, depends_on=[int(d) for d in deps])
         else:
-            tl.add_copy(f"x{i}", duration, depends_on=[int(d) for d in deps])
+            tl.add(f"x{i}", Stream.COPY, duration, depends_on=[int(d) for d in deps])
     for op in tl.ops:
         for dep in op.depends_on:
             assert op.start >= tl.op(dep).end - 1e-12

@@ -1,32 +1,31 @@
-"""Array-kernel timeline parity: ``ArrayTimeline`` vs the per-op reference.
+"""Array-kernel timeline parity: ``ArrayTimeline`` vs the test-only reference.
 
-The batched columnar engine must be *the same simulator* as the per-op
-:class:`ExecutionTimeline` reference, not an approximation of it:
+The batched columnar kernel must be *the same simulator* as the naive
+per-op :class:`~.reference_timeline.ReferenceTimeline`, not an
+approximation of it:
 
 * randomized op streams (mixed streams/devices/deps/arrival gates, emitted
   through both scalar adds and multi-op batches) produce bit-identical
-  start/end times on both engines, and every summed aggregate matches to
-  1e-9 (the kernel folds sums with vectorized reductions, which may
-  reassociate float additions);
-* the trace-recording array engine reconstructs the full per-op trace
-  (``ops``/``to_records``/``stream_ops``) identically to the scalar one;
-* batch validation points at the offending op and lane, exactly like the
-  scalar validation (same message, either engine);
+  start/end times, and every summed aggregate matches the reference's
+  brute-force sum to 1e-9 (the kernel folds sums with vectorized
+  reductions, which may reassociate float additions);
+* the trace-recording kernel reports each op exactly as emitted, with the
+  reference's start/end times;
+* batch validation points at the offending op and lane;
 * ``fast_forward`` applies absolute aggregate values and refuses trace
-  mode and makespan rewinds on both engines.
+  mode and makespan rewinds.
 """
 
 import random
 
 import pytest
 
-from repro.system.timeline import (STREAM_CODE, ArrayTimeline,
-                                   ExecutionTimeline, Stream, category_code)
+from repro.system.timeline import (STREAM_CODE, ArrayTimeline, Stream,
+                                   category_code)
+
+from .reference_timeline import ReferenceTimeline
 
 STREAMS = (Stream.COMPUTE, Stream.COPY, Stream.STAGE, Stream.INTERCONNECT)
-#: Contracts both timeline classes honour identically.
-BOTH_TIMELINES = pytest.mark.parametrize(
-    "engine", (ArrayTimeline, ExecutionTimeline), ids=["array", "reference"])
 CATEGORIES = ("compute", "copy", "stage_in", "alltoall", "generic")
 
 
@@ -59,16 +58,21 @@ def random_program(rng, num_rounds=12, max_round_ops=9):
     return program
 
 
-def run_scalar(program, record_trace):
-    timeline = ExecutionTimeline(record_trace=record_trace)
+def run_reference(program):
+    reference = ReferenceTimeline()
     times = []
     for round_ops in program:
-        for spec in program_round(timeline, round_ops):
-            times.append(spec)
-    return timeline, times
+        for spec in round_ops:
+            op = reference.add(spec["stream"], spec["duration"], spec["deps"],
+                               category=spec["category"], device=spec["device"],
+                               earliest_start=spec["earliest"],
+                               num_bytes=spec["bytes"])
+            times.append((op.start, op.end))
+    return reference, times
 
 
 def program_round(timeline, round_ops):
+    """Add a round's ops one :meth:`ArrayTimeline.add` at a time."""
     for spec in round_ops:
         op = timeline.add(f"op{timeline.num_ops}", spec["stream"],
                           spec["duration"], depends_on=spec["deps"],
@@ -95,96 +99,110 @@ def run_array(program, record_trace):
     return timeline, times
 
 
-def assert_aggregate_parity(scalar, array):
+def assert_aggregate_parity(reference, array):
     # Time-like maxima are bit-identical; summed aggregates may be folded in
     # a different association order, so 1e-9.
-    assert array.makespan == scalar.makespan
-    assert array.num_ops == scalar.num_ops
+    assert array.makespan == reference.makespan
+    assert array.num_ops == reference.num_ops
     for stream in STREAMS:
         for device in (None, 0, 1):
             assert array.stream_busy_time(stream, device) == pytest.approx(
-                scalar.stream_busy_time(stream, device), abs=1e-9)
+                reference.stream_busy_time(stream, device), abs=1e-9)
             assert array.stream_free_time(stream, device) == \
-                scalar.stream_free_time(stream, device)
-    assert array.devices() == scalar.devices()
-    for device in scalar.devices():
+                reference.stream_free_time(stream, device)
+    assert array.devices() == reference.devices()
+    for device in reference.devices():
         assert array.device_utilisation(device) == pytest.approx(
-            scalar.device_utilisation(device), abs=1e-9)
+            reference.device_utilisation(device), abs=1e-9)
         assert array.exposed_copy_time(device) == pytest.approx(
-            scalar.exposed_copy_time(device), abs=1e-9)
+            reference.exposed_copy_time(device), abs=1e-9)
     for category in CATEGORIES:
-        assert array.category_count(category) == scalar.category_count(category)
+        assert array.category_count(category) == reference.category_count(category)
         assert array.category_time(category) == pytest.approx(
-            scalar.category_time(category), abs=1e-9)
+            reference.category_time(category), abs=1e-9)
         assert array.category_bytes(category) == pytest.approx(
-            scalar.category_bytes(category), abs=1e-9)
+            reference.category_bytes(category), abs=1e-9)
+    copy_busy = reference.stream_busy_time(Stream.COPY)
     assert array.overlap_efficiency() == pytest.approx(
-        scalar.overlap_efficiency(), abs=1e-9)
+        max(0.0, 1.0 - reference.exposed_copy_time() / copy_busy)
+        if copy_busy else 1.0, abs=1e-9)
 
 
 class TestRandomizedParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_batched_kernel_matches_scalar_engine(self, seed):
+    def test_batched_kernel_matches_reference(self, seed):
         program = random_program(random.Random(seed))
-        scalar, scalar_times = run_scalar(program, record_trace=False)
+        reference, reference_times = run_reference(program)
         array, array_times = run_array(program, record_trace=False)
         # Start/end chains are max() compositions — bit-identical.
-        assert array_times == scalar_times
-        assert_aggregate_parity(scalar, array)
+        assert array_times == reference_times
+        assert_aggregate_parity(reference, array)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_scalar_adds_on_array_engine_match(self, seed):
+    def test_scalar_adds_match_reference(self, seed):
         """ArrayTimeline.add (one-op batches) is the same kernel."""
         program = random_program(random.Random(seed), num_rounds=6)
-        scalar, scalar_times = run_scalar(program, record_trace=False)
+        reference, reference_times = run_reference(program)
         array = ArrayTimeline(record_trace=False)
         array_times = []
         for round_ops in program:
             array_times.extend(program_round(array, round_ops))
-        assert array_times == scalar_times
-        assert_aggregate_parity(scalar, array)
+        assert array_times == reference_times
+        assert_aggregate_parity(reference, array)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_trace_reconstruction_matches_scalar_trace(self, seed):
+    def test_trace_reports_ops_as_emitted(self, seed):
         program = random_program(random.Random(seed), num_rounds=6)
-        scalar, _ = run_scalar(program, record_trace=True)
+        reference, _ = run_reference(program)
         array, _ = run_array(program, record_trace=True)
-        assert array.to_records() == scalar.to_records()
+        records = array.to_records()
+        assert [r["op_id"] for r in records] == list(range(reference.num_ops))
+        for record, op in zip(records, reference.ops):
+            assert (record["stream"], record["device"], record["category"],
+                    record["duration"], record["earliest_start"],
+                    record["num_bytes"], record["start"], record["end"]) == \
+                (op.stream.value, op.device, op.category, op.duration,
+                 op.earliest_start, op.num_bytes, op.start, op.end)
+            assert record["name"] == f"op{record['op_id']}"
         for stream in STREAMS:
-            scalar_ops = scalar.stream_ops(stream)
-            array_ops = array.stream_ops(stream)
-            assert [op.op_id for op in array_ops] == \
-                [op.op_id for op in scalar_ops]
-            for a, b in zip(array_ops, scalar_ops):
-                assert (a.start, a.end, a.duration, a.device) == \
-                    (b.start, b.end, b.duration, b.device)
-                assert a.depends_on == b.depends_on
-        assert array.scan_makespan() == scalar.scan_makespan()
-        assert array.scan_exposed_copy_time() == pytest.approx(
-            scalar.scan_exposed_copy_time(), abs=1e-9)
+            lane = array.stream_ops(stream)
+            assert [op.op_id for op in lane] == \
+                [i for i, op in enumerate(reference.ops) if op.stream is stream]
+            for op in lane:
+                assert tuple(op.depends_on) == reference.ops[op.op_id].deps
+                assert array.op(op.op_id) == op
+
+    def test_trace_keeps_emitted_value_types(self):
+        """Integer byte counts come back as the emitter's ints."""
+        timeline = ArrayTimeline(record_trace=True)
+        batch = timeline.begin_batch()
+        batch.add(STREAM_CODE[Stream.COPY], 0.5, num_bytes=18874368,
+                  category=category_code("expert_transfer"), name="fetch")
+        timeline.commit_batch(batch)
+        [record] = timeline.to_records()
+        assert record["num_bytes"] == 18874368
+        assert type(record["num_bytes"]) is int
+        assert timeline.category_bytes("expert_transfer") == 18874368.0
 
 
 class TestBatchValidation:
-    @BOTH_TIMELINES
-    def test_negative_duration_names_op_and_lane(self, engine):
-        timeline = engine(record_trace=True)
+    def test_negative_duration_names_op_and_lane(self):
+        timeline = ArrayTimeline(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0, name="warmup")
         batch.add(1, -0.5, device=2, name="bad_copy")
         with pytest.raises(ValueError, match=r"'bad_copy'.*copy, device 2"):
             timeline.commit_batch(batch)
 
-    @BOTH_TIMELINES
-    def test_unknown_dependency_names_op(self, engine):
-        timeline = engine(record_trace=True)
+    def test_unknown_dependency_names_op(self):
+        timeline = ArrayTimeline(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0, deps=[41], name="orphan")
         with pytest.raises(ValueError, match=r"'orphan'.*41"):
             timeline.commit_batch(batch)
 
-    @BOTH_TIMELINES
-    def test_batches_may_not_interleave(self, engine):
-        timeline = engine(record_trace=True)
+    def test_batches_may_not_interleave(self):
+        timeline = ArrayTimeline(record_trace=True)
         batch = timeline.begin_batch()
         batch.add(0, 1.0)
         timeline.add("sneaky", Stream.COMPUTE, 1.0)
@@ -193,9 +211,8 @@ class TestBatchValidation:
 
 
 class TestFastForward:
-    @BOTH_TIMELINES
-    def test_fast_forward_applies_absolute_aggregates(self, engine):
-        timeline = engine(record_trace=False)
+    def test_fast_forward_applies_absolute_aggregates(self):
+        timeline = ArrayTimeline(record_trace=False)
         timeline.add("seed", Stream.COMPUTE, 1.0, category="compute")
         snapshot = timeline.replay_snapshot()
         snapshot["makespan"] = 5.0
@@ -214,13 +231,12 @@ class TestFastForward:
         op = timeline.add("next", Stream.COMPUTE, 1.0, category="compute")
         assert op.start == 5.0
 
-    @BOTH_TIMELINES
-    def test_fast_forward_refuses_trace_mode_and_rewinds(self, engine):
-        traced = engine(record_trace=True)
+    def test_fast_forward_refuses_trace_mode_and_rewinds(self):
+        traced = ArrayTimeline(record_trace=True)
         traced.add("seed", Stream.COMPUTE, 1.0)
         with pytest.raises(RuntimeError, match="record_trace"):
             traced.fast_forward(num_ops=1, **traced.replay_snapshot())
-        plain = engine(record_trace=False)
+        plain = ArrayTimeline(record_trace=False)
         plain.add("seed", Stream.COMPUTE, 1.0)
         snapshot = plain.replay_snapshot()
         snapshot["makespan"] = 0.5

@@ -11,7 +11,7 @@ from repro.system.hardware import (
     GpuSpec,
     LinkSpec,
 )
-from repro.system.timeline import ExecutionTimeline, Stream
+from repro.system.timeline import ArrayTimeline, Stream
 
 
 class TestSpecValidation:
@@ -97,41 +97,41 @@ class TestSystemTopology:
 
 class TestTimelineDeviceLanes:
     def test_same_lane_serialises(self):
-        timeline = ExecutionTimeline()
-        a = timeline.add_compute("a", 1.0, device=0)
-        b = timeline.add_compute("b", 1.0, device=0)
+        timeline = ArrayTimeline(record_trace=True)
+        a = timeline.add("a", Stream.COMPUTE, 1.0, device=0)
+        b = timeline.add("b", Stream.COMPUTE, 1.0, device=0)
         assert b.start == pytest.approx(a.end)
 
     def test_different_devices_run_concurrently(self):
-        timeline = ExecutionTimeline()
-        a = timeline.add_compute("a", 1.0, device=0)
-        b = timeline.add_compute("b", 1.0, device=1)
+        timeline = ArrayTimeline(record_trace=True)
+        a = timeline.add("a", Stream.COMPUTE, 1.0, device=0)
+        b = timeline.add("b", Stream.COMPUTE, 1.0, device=1)
         assert a.start == b.start == 0.0
         assert timeline.makespan == pytest.approx(1.0)
 
     def test_per_device_copy_lanes_parallelise_fetches(self):
-        timeline = ExecutionTimeline()
-        a = timeline.add_copy("fetch0", 1.0, device=0)
-        b = timeline.add_copy("fetch1", 1.0, device=1)
-        c = timeline.add_copy("fetch2", 1.0, device=0)
+        timeline = ArrayTimeline(record_trace=True)
+        a = timeline.add("fetch0", Stream.COPY, 1.0, device=0)
+        b = timeline.add("fetch1", Stream.COPY, 1.0, device=1)
+        c = timeline.add("fetch2", Stream.COPY, 1.0, device=0)
         assert a.start == b.start == 0.0
         assert c.start == pytest.approx(a.end)
 
     def test_dependencies_cross_lanes(self):
-        timeline = ExecutionTimeline()
-        copy = timeline.add_copy("fetch", 2.0, device=1)
-        exec_op = timeline.add_compute("exec", 1.0, depends_on=[copy.op_id],
+        timeline = ArrayTimeline(record_trace=True)
+        copy = timeline.add("fetch", Stream.COPY, 2.0, device=1)
+        exec_op = timeline.add("exec", Stream.COMPUTE, 1.0, depends_on=[copy.op_id],
                                        device=1)
-        combine = timeline.add_interconnect("combine", 0.5,
+        combine = timeline.add("combine", Stream.INTERCONNECT, 0.5,
                                             depends_on=[exec_op.op_id])
         assert exec_op.start == pytest.approx(copy.end)
         assert combine.start == pytest.approx(exec_op.end)
         assert combine.stream is Stream.INTERCONNECT
 
     def test_per_device_queries(self):
-        timeline = ExecutionTimeline()
-        timeline.add_compute("a", 1.0, device=0)
-        timeline.add_compute("b", 3.0, device=1)
+        timeline = ArrayTimeline(record_trace=True)
+        timeline.add("a", Stream.COMPUTE, 1.0, device=0)
+        timeline.add("b", Stream.COMPUTE, 3.0, device=1)
         assert timeline.devices() == [0, 1]
         assert timeline.stream_busy_time(Stream.COMPUTE) == pytest.approx(4.0)
         assert timeline.stream_busy_time(Stream.COMPUTE, 1) == pytest.approx(3.0)
@@ -142,35 +142,35 @@ class TestTimelineDeviceLanes:
         assert timeline.device_utilisation(1) == pytest.approx(1.0)
 
     def test_negative_device_rejected(self):
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         with pytest.raises(ValueError):
-            timeline.add_compute("a", 1.0, device=-1)
+            timeline.add("a", Stream.COMPUTE, 1.0, device=-1)
 
     def test_records_carry_the_device(self):
-        timeline = ExecutionTimeline()
-        timeline.add_compute("a", 1.0, device=2)
+        timeline = ArrayTimeline(record_trace=True)
+        timeline.add("a", Stream.COMPUTE, 1.0, device=2)
         assert timeline.to_records()[0]["device"] == 2
 
     def test_exposed_copy_time_is_per_lane(self):
-        timeline = ExecutionTimeline()
+        timeline = ArrayTimeline(record_trace=True)
         # Device 0: exec stalls 2s on its copy; device 1: stalls 1s.
-        copy0 = timeline.add_copy("c0", 2.0, device=0)
-        timeline.add_compute("e0", 1.0, depends_on=[copy0.op_id], device=0)
-        copy1 = timeline.add_copy("c1", 1.0, device=1)
-        timeline.add_compute("e1", 1.0, depends_on=[copy1.op_id], device=1)
+        copy0 = timeline.add("c0", Stream.COPY, 2.0, device=0)
+        timeline.add("e0", Stream.COMPUTE, 1.0, depends_on=[copy0.op_id], device=0)
+        copy1 = timeline.add("c1", Stream.COPY, 1.0, device=1)
+        timeline.add("e1", Stream.COMPUTE, 1.0, depends_on=[copy1.op_id], device=1)
         assert timeline.exposed_copy_time() == pytest.approx(3.0)
 
     def test_render_labels_lanes_when_multi_device(self):
-        timeline = ExecutionTimeline()
-        timeline.add_compute("a", 1.0, device=0)
-        timeline.add_compute("b", 1.0, device=1)
+        timeline = ArrayTimeline(record_trace=True)
+        timeline.add("a", Stream.COMPUTE, 1.0, device=0)
+        timeline.add("b", Stream.COMPUTE, 1.0, device=1)
         rendered = timeline.render_ascii()
         assert "compute[0]" in rendered
         assert "compute[1]" in rendered
 
     def test_render_keeps_plain_labels_single_device(self):
-        timeline = ExecutionTimeline()
-        timeline.add_compute("a", 1.0)
+        timeline = ArrayTimeline(record_trace=True)
+        timeline.add("a", Stream.COMPUTE, 1.0)
         rendered = timeline.render_ascii()
         assert "compute " in rendered
         assert "compute[0]" not in rendered
