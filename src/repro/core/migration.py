@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import List, Optional, Sequence, Set
 
 
@@ -119,6 +120,16 @@ class MigrationPlan:
         return sum(t.bytes for t in self.transfers_for_block(block_index))
 
 
+@lru_cache(maxsize=65536)
+def _transfer(block_index: int, expert_id: int, kind: MigrationKind,
+              issue_block: int, num_bytes: int, source_tier: str) -> ExpertTransfer:
+    """One shared record per distinct transfer: transfers are immutable and
+    the planners rebuild the same few thousand on every pass."""
+    return ExpertTransfer(block_index=block_index, expert_id=expert_id,
+                          kind=kind, issue_block=issue_block, bytes=num_bytes,
+                          source_tier=source_tier)
+
+
 def plan_on_demand(activations: Sequence[Sequence[int]], expert_bytes: int,
                    resident: Optional[Sequence[Set[int]]] = None,
                    source_tier: str = "dram") -> MigrationPlan:
@@ -143,9 +154,9 @@ def plan_on_demand(activations: Sequence[Sequence[int]], expert_bytes: int,
         for expert in experts:
             if expert in cached:
                 continue
-            plan.transfers.append(ExpertTransfer(
-                block_index=block, expert_id=int(expert), kind=MigrationKind.ON_DEMAND,
-                issue_block=block, bytes=expert_bytes, source_tier=source_tier))
+            plan.transfers.append(_transfer(
+                block, int(expert), MigrationKind.ON_DEMAND, block, expert_bytes,
+                source_tier))
     return plan
 
 
@@ -161,9 +172,8 @@ def plan_prefetch_all(activations: Sequence[Sequence[int]], expert_bytes: int,
         issue_block = max(block - 1, 0)
         kind = MigrationKind.PREFETCH_ALL if block > 0 else MigrationKind.ON_DEMAND
         for expert in range(num_experts):
-            plan.transfers.append(ExpertTransfer(
-                block_index=block, expert_id=expert, kind=kind,
-                issue_block=issue_block, bytes=expert_bytes, source_tier=source_tier))
+            plan.transfers.append(_transfer(
+                block, expert, kind, issue_block, expert_bytes, source_tier))
     return plan
 
 
@@ -195,9 +205,8 @@ def plan_pregated(activations: Sequence[Sequence[int]], expert_bytes: int,
         for expert in experts:
             if expert in cached:
                 continue
-            plan.transfers.append(ExpertTransfer(
-                block_index=block, expert_id=int(expert), kind=kind,
-                issue_block=issue_block, bytes=expert_bytes, source_tier=source_tier))
+            plan.transfers.append(_transfer(
+                block, int(expert), kind, issue_block, expert_bytes, source_tier))
     return plan
 
 

@@ -302,6 +302,10 @@ class LoadTestResult:
     replay_windows: int = 0
     replay_rounds: int = 0
     replay_ops: int = 0
+    #: Planned replay windows that stood down, by reason (see
+    #: ``_RoundReplay.STANDDOWN_REASONS`` in :mod:`repro.serving.scheduler`);
+    #: empty when replay is disabled; summed per reason across a fleet.
+    replay_standdowns: Dict[str, int] = field(default_factory=dict)
     #: Sampled time-series probes (queue depth, utilisation, residency …)
     #: when the scheduler served with ``probe_interval`` set; ``None``
     #: otherwise.  Merged across replicas by
@@ -425,6 +429,7 @@ class LoadTestResult:
             "replay_windows": self.replay_windows,
             "replay_rounds": self.replay_rounds,
             "replay_ops": self.replay_ops,
+            "replay_standdowns": dict(self.replay_standdowns),
             "probe_samples": self.probe_samples,
             "max_queue_depth": self.max_queue_depth,
         }
@@ -467,6 +472,10 @@ def merge_load_results(results: Sequence[LoadTestResult],
             device_util = [sum(us) / len(per_replica)
                            for us in zip(*per_replica)]
     imbalances = [r.shard_imbalance for r in results if r.shard_imbalance is not None]
+    standdowns: Dict[str, int] = {}
+    for result in results:
+        for reason, count in result.replay_standdowns.items():
+            standdowns[reason] = standdowns.get(reason, 0) + count
     merged = LoadTestResult(
         design=first.design, config_name=first.config_name,
         offered_load=first.offered_load,
@@ -485,6 +494,7 @@ def merge_load_results(results: Sequence[LoadTestResult],
         replay_windows=sum(r.replay_windows for r in results),
         replay_rounds=sum(r.replay_rounds for r in results),
         replay_ops=sum(r.replay_ops for r in results),
+        replay_standdowns=standdowns,
         probes=merge_metrics([r.probes for r in results]),
         oom=any(r.oom for r in results),
         oom_reason="; ".join(r.oom_reason for r in results if r.oom_reason),

@@ -22,7 +22,7 @@ transfers happen; the placement only tracks the bytes they pin.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.migration import ExpertTransfer
 from ..moe.configs import ModelConfig
@@ -378,6 +378,8 @@ class ShardedPlacement:
         # (path, bytes) → duration evaluations instead of re-walking the
         # hop list on every fetch of every round.
         self._path_time_cache: dict = {}
+        self._route_memo: Dict[Tuple[str, int, int], FetchRoute] = {}
+        self._expert_bytes = config.expert_bytes()
         self._loaded = False
         self._expert_seq = 0
         # Round replay walks the residency-style maps (per-device GPU
@@ -636,17 +638,22 @@ class ShardedPlacement:
         ``device`` is the shard whose copy lane the fetch occupies.
         """
         tier = transfer.source_tier
-        path = (self._offload_path
-                if self._offload_path is not None and self._offload_path.source == tier
-                else self.system.tier_path(tier))
         num_bytes = transfer.bytes
         device = self.owner_device(transfer.expert_id)
         stage = self.shards[device].stage
         if tier != "ssd" or stage is None:
-            route = FetchRoute(source_tier=tier,
-                               copy_duration=self._path_times(path, num_bytes)[0],
-                               device=device)
+            # Unstaged routes are a function of (tier, device, bytes): one
+            # frozen route per combination serves every such fetch.
+            memo_key = (tier, device, num_bytes)
+            route = self._route_memo.get(memo_key)
+            if route is None:
+                route = self._route_memo[memo_key] = FetchRoute(
+                    source_tier=tier,
+                    copy_duration=self._path_times(self._path(tier),
+                                                   num_bytes)[0],
+                    device=device)
         else:
+            path = self._path(tier)
             hit = stage.pin(key)
             stage.release(key)
             if hit:
@@ -670,6 +677,12 @@ class ShardedPlacement:
         if self.route_log is not None:
             self.route_log.append((route.source_tier, route.stage_hit))
         return route
+
+    def _path(self, tier: str):
+        """The tier path a fetch from ``tier`` takes to the GPU."""
+        if self._offload_path is not None and self._offload_path.source == tier:
+            return self._offload_path
+        return self.system.tier_path(tier)
 
     def _path_times(self, path, num_bytes: int) -> Tuple[float, float, float]:
         """(pipelined total, first-hop, cut-through-tail) for ``num_bytes``.
@@ -725,25 +738,27 @@ class ShardedPlacement:
                       allow_oversubscribe=self.allow_oversubscription)
         return tag
 
-    def allocate_shared_expert(self, part: str, block_index: int, expert_id: int) -> str:
+    def allocate_shared_expert(self, part: str, block_index: int,
+                               expert_id: int) -> Hashable:
         """Reserve a batch-shared expert slot (continuous-batching dedup path).
 
         The sharing itself is tracked by the caller's
         :class:`~repro.serving.simulator.SharedExpertRound` refcount map,
         which holds the returned tag and frees it once the last round member
-        using the expert has executed; the tag carries a sequence suffix so
-        re-fetching an expert later in the same round can never collide with
-        a previously freed slot.
+        using the expert has executed.  The tag is the tuple
+        ``("batch_expert", global block, expert id, sequence number)``; the
+        sequence number keeps a re-fetch later in the same round from ever
+        colliding with a previously freed slot.
         """
-        gb = self.global_block_index(part, block_index)
         self._expert_seq += 1
-        tag = f"batch_expert:{gb}:{expert_id}:{self._expert_seq}"
+        tag = ("batch_expert", self.global_block_index(part, block_index),
+               expert_id, self._expert_seq)
         self.shard_for(expert_id).pool.allocate(
-            tag, self.config.expert_bytes(), category="experts",
+            tag, self._expert_bytes, category="experts",
             allow_oversubscribe=self.allow_oversubscription)
         return tag
 
-    def free_expert(self, tag: str) -> None:
+    def free_expert(self, tag: Hashable) -> None:
         for shard in self.shards:
             if shard.pool.has(tag):
                 shard.pool.free(tag)

@@ -51,8 +51,8 @@ from ..obs.spans import (CAT_DECODE as SPAN_DECODE, CAT_FETCH as SPAN_FETCH,
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import OutOfMemoryError
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import (_COMPUTE_CODE, STREAMS, ArrayTimeline,
-                               OpBatch, Stream)
+from ..system.timeline import (_COMPUTE_CODE, ArrayTimeline, OpBatch,
+                               Stream, lane_code)
 from ..workloads.arrivals import LoadSpec, TimedRequest, generate_timed_requests
 from ..workloads.generator import WorkloadSpec
 from ..workloads.traces import RequestTrace
@@ -107,7 +107,9 @@ class _RoundRecord:
     #: Per-state (first op, last op) batch indices of the request's pass.
     first_index: Tuple[int, ...]
     last_index: Tuple[int, ...]
-    lane_free_before: Dict[Tuple[Stream, int], float]
+    #: Lane clocks by :func:`~repro.system.timeline.lane_code` before the
+    #: commit.
+    lane_free_before: Dict[int, float]
     #: :meth:`ArrayTimeline.replay_snapshot` taken after the commit.
     snapshot: Dict[str, object]
     #: :meth:`ModelPlacement.replay_counters` taken after the round.
@@ -185,6 +187,16 @@ class _RoundReplay:
     MAX_ROUNDS = 512
     #: Rounds to wait after a failed plan before trying again.
     COOLDOWN = 2
+    #: Why :meth:`try_apply` stood down, in the order it checks: the round's
+    #: requests are not the recorded ones, a request is on its last decode,
+    #: the round structure changes too soon, durations are not affine,
+    #: counters do not tick identically, the GPU peak moved, a residency
+    #: map is not replayable, the roofline leaves its branch, an op's
+    #: schedule argmax flips, or the next arrival would be admitted.
+    STANDDOWN_REASONS = ("request_identity", "completion_bound", "signature",
+                         "durations", "counters", "peak_bytes",
+                         "residency_window", "roofline_branch",
+                         "crossing_horizon", "arrival")
 
     def __init__(self, scheduler: "ContinuousBatchingScheduler") -> None:
         self.scheduler = scheduler
@@ -208,6 +220,9 @@ class _RoundReplay:
         self.windows = 0
         self.rounds = 0
         self.ops = 0
+        #: Failed :meth:`try_apply` calls by reason.
+        self.standdowns: Dict[str, int] = dict.fromkeys(
+            self.STANDDOWN_REASONS, 0)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -364,13 +379,13 @@ class _RoundReplay:
         last = records[-1]
         if tuple(s.timed.request_id for s in active) != last.req_ids:
             self.history.clear()
-            return False
+            return self._stand_down("request_identity", cool=False)
         # ---- completion bound ----------------------------------------
         n = min(self.MAX_ROUNDS,
                 min(len(s.trace.decode_activations) - s.next_decode
                     for s in active))
         if n < 1:
-            return False
+            return self._stand_down("completion_bound", cool=False)
         # ---- forward structure scan ----------------------------------
         template = self._round_signature(active, -1)
         n_sig = 0
@@ -378,50 +393,50 @@ class _RoundReplay:
             n_sig += 1
         n = n_sig
         if n < self.MIN_ROUNDS:
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("signature")
         # ---- per-round durations affine across the window ------------
         d = [np.asarray(r.batch.duration) for r in records]
         diff = d[3] - d[2]
         if (not np.allclose(d[1] - d[0], diff, rtol=0.0, atol=1e-15)
                 or not np.allclose(d[2] - d[1], diff, rtol=0.0, atol=1e-15)):
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("durations")
         # ---- integer counters tick identically -----------------------
         deltas = [tuple(b - a for a, b in zip(r1.counters, r2.counters))
                   for r1, r2 in zip(records, records[1:])]
         if deltas[0] != deltas[1] or deltas[1] != deltas[2]:
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("counters")
         if len({r.peak_gpu_bytes for r in records}) != 1:
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("peak_bytes")
         # ---- residency maps exactly replayable over the window -------
         residency_deltas: tuple = ()
         if self._has_maps:
             residency_deltas = self.placement.replay_residency_window(
                 [r.residency_state for r in records])
             if residency_deltas is None:
-                self.cooldown = self.COOLDOWN
-                return False
+                return self._stand_down("residency_window")
         # ---- duration model still on the recorded roofline branch ----
         n = self._duration_model_bound(active, records, diff, n)
         if n < 1:
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("roofline_branch")
         # ---- crossing horizon (argmax stability) ---------------------
         n = self._crossing_bound(records, n)
         if n < 1:
-            self.cooldown = self.COOLDOWN
-            return False
+            return self._stand_down("crossing_horizon")
         # ---- arrival bound -------------------------------------------
         if pending and len(active) < self.scheduler.max_batch_size:
             n = self._arrival_bound(records, pending[0].arrival_time, n)
             if n < 1:
-                self.cooldown = self.COOLDOWN
-                return False
+                return self._stand_down("arrival")
         self._apply(timeline, active, records, n, residency_deltas)
         return True
+
+    def _stand_down(self, reason: str, cool: bool = True) -> bool:
+        """Count a failed plan by ``reason`` (cooling down unless told not
+        to); returns ``False`` for :meth:`try_apply` to pass on."""
+        self.standdowns[reason] += 1
+        if cool:
+            self.cooldown = self.COOLDOWN
+        return False
 
     def _duration_model_bound(self, active, records, diff, n: int) -> int:
         """Largest window on which the affine duration model stays exact.
@@ -484,13 +499,12 @@ class _RoundReplay:
         row_op: List[int] = []
         row_samples: List[Tuple[float, float, float]] = []
         row_is_compute: List[bool] = []
-        lane_prev: Dict[Tuple[int, int], int] = {}
+        lane_prev: Dict[int, int] = {}
         for i in range(num):
-            lane = (streams[i], devices[i])
+            lane = lane_code(streams[i], devices[i])
             prev = lane_prev.get(lane)
             if prev is None:
-                key = (STREAMS[streams[i]], devices[i])
-                samples = tuple(f.get(key, 0.0) for f in lfb)
+                samples = tuple(f.get(lane, 0.0) for f in lfb)
             else:
                 samples = tuple(e[prev] for e in ends)
             row_op.append(i)
@@ -924,6 +938,7 @@ class ContinuousBatchingScheduler:
             result.replay_windows = replay.windows
             result.replay_rounds = replay.rounds
             result.replay_ops = replay.ops
+            result.replay_standdowns = dict(replay.standdowns)
         result.requests.sort(key=lambda r: r.request_id)
         return result
 
@@ -970,7 +985,8 @@ class ContinuousBatchingScheduler:
         pass_bounds: List[Tuple[int, int, int, int]] = []
         try:
             for state, plan in zip(active, plans):
-                label = f"r{state.timed.request_id}."
+                label = (f"r{state.timed.request_id}." if batch.record_names
+                         else "")
                 start_at = (state.timed.arrival_time
                             if state.first_scheduled_time is None else 0.0)
                 if spans is not None:
@@ -1096,6 +1112,10 @@ class ContinuousBatchingScheduler:
                 now, timeline.device_utilisation(d))
         reg.gauge("replay_rounds").sample(
             now, float(replay.rounds if replay is not None else 0))
+        for reason in _RoundReplay.STANDDOWN_REASONS:
+            reg.gauge(f"replay_standdowns.{reason}").sample(
+                now, float(replay.standdowns[reason]
+                           if replay is not None else 0))
         reg.gauge("timeline_ops").sample(now, float(timeline.num_ops))
         probes.mark_sampled(now)
 

@@ -33,7 +33,7 @@ original single-GPU timeline bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.migration import MigrationPlan, plan_for_design
 from ..core.pregate import PreGateSchedule
@@ -65,7 +65,16 @@ CAT_EXPERT_TRANSFER = category_code("expert_transfer")
 CAT_EXPERT_EXECUTION = category_code("expert_execution")
 CAT_STAGE_IN = category_code("stage_in")
 CAT_ALLTOALL = category_code("alltoall")
-CAT_COMPUTE = category_code("compute")
+
+
+class _PassLayout(NamedTuple):
+    """Layer skeleton of one encoder pass or decoder iteration."""
+
+    #: Per MoE block: the non-MoE layers since the previous MoE block, the
+    #: MoE layer and the number of gate evaluations at the block.
+    runs: List[Tuple[Tuple[int, ...], int, int]]
+    #: The non-MoE layers after the last MoE block.
+    tail: Tuple[int, ...]
 
 
 class SharedExpertRound:
@@ -88,16 +97,35 @@ class SharedExpertRound:
 
     def __init__(self) -> None:
         self._users: Dict[ExpertKey, int] = {}
-        self._tags: Dict[ExpertKey, str] = {}
+        self._tags: Dict[ExpertKey, Hashable] = {}
         self._copy_ops: Dict[ExpertKey, int] = {}
+        #: Planned keys per target block, by (part, plan identity); the
+        #: entry holds the plan, so its id cannot be reused this round.
+        self._plan_keys: Dict[Tuple[str, int],
+                              Tuple[MigrationPlan,
+                                    Dict[int, List[ExpertKey]]]] = {}
 
     # -- registration (before the round is simulated) -------------------
     def register_plan(self, placement: ModelPlacement, part: str,
                       plan: MigrationPlan, activations=None) -> None:
-        for transfer in plan.transfers:
-            key = (placement.global_block_index(part, transfer.block_index),
-                   transfer.expert_id)
-            self._users[key] = self._users.get(key, 0) + 1
+        users = self._users
+        for keys in self._keys_by_block(placement, part, plan).values():
+            for key in keys:
+                users[key] = users.get(key, 0) + 1
+
+    def _keys_by_block(self, placement: ModelPlacement, part: str,
+                       plan: MigrationPlan) -> Dict[int, List[ExpertKey]]:
+        """The plan's transfer keys grouped by target block, built once per
+        round however many members share the plan."""
+        entry = self._plan_keys.get((part, id(plan)))
+        if entry is None:
+            offset = placement.global_block_index(part, 0)
+            by_block: Dict[int, List[ExpertKey]] = {}
+            for transfer in plan.transfers:
+                by_block.setdefault(transfer.block_index, []).append(
+                    (offset + transfer.block_index, transfer.expert_id))
+            entry = self._plan_keys[(part, id(plan))] = (plan, by_block)
+        return entry[1]
 
     # -- queries during simulation --------------------------------------
     def is_fetched(self, key: ExpertKey) -> bool:
@@ -106,22 +134,17 @@ class SharedExpertRound:
     def copy_op(self, key: ExpertKey) -> Optional[int]:
         return self._copy_ops.get(key)
 
-    def note_fetch(self, key: ExpertKey, tag: str, copy_op_id: int) -> None:
-        self._tags[key] = tag
-        self._copy_ops[key] = copy_op_id
-
     def fetch(self, placement: ModelPlacement, part: str, transfer,
               key: ExpertKey, copy_op_id: int) -> None:
         """Allocate the shared batch slot backing one issued migration."""
-        tag = placement.allocate_shared_expert(
+        self._tags[key] = placement.allocate_shared_expert(
             part, transfer.block_index, transfer.expert_id)
-        self.note_fetch(key, tag, copy_op_id)
+        self._copy_ops[key] = copy_op_id
 
     def release_keys(self, placement: ModelPlacement, part: str,
                      plan: MigrationPlan, activations, block: int) -> List[ExpertKey]:
         """Keys to release once ``block`` has executed: its planned transfers."""
-        return [(placement.global_block_index(part, t.block_index), t.expert_id)
-                for t in plan.transfers_for_block(block)]
+        return self._keys_by_block(placement, part, plan).get(block, [])
 
     def release(self, placement: ModelPlacement, key: ExpertKey) -> None:
         remaining = self._users.get(key, 0) - 1
@@ -141,6 +164,7 @@ class SharedExpertRound:
         self._users.clear()
         self._tags.clear()
         self._copy_ops.clear()
+        self._plan_keys.clear()
 
 
 @dataclass
@@ -193,6 +217,8 @@ class IterationSimulator:
         #: shapes of steady decode rounds.  Keys are bounded by the distinct
         #: token counts a workload produces.
         self._duration_cache: Dict[Tuple, float] = {}
+        #: Memoised :class:`_PassLayout` per part.
+        self._layouts: Dict[str, _PassLayout] = {}
 
     @property
     def offloads_experts(self) -> bool:
@@ -274,8 +300,9 @@ class IterationSimulator:
             cached = self._plan_cache.get(key)
             if cached is not None:
                 return cached
-        num_blocks = len(placement.moe_positions(part))
-        resident = placement.cache_resident(part, num_blocks)
+        # Without a residency map or cache nothing is resident.
+        resident = (None if memoizable else placement.cache_resident(
+            part, len(placement.moe_positions(part))))
         plan = plan_for_design(
             self.design, activations, self.config.expert_bytes(), self.config.num_experts,
             activation_level=self.activation_level, resident=resident,
@@ -298,6 +325,31 @@ class IterationSimulator:
             return gates
         # Conventional architectures evaluate exactly one gate per block.
         return 1
+
+    def _layout(self, part: str) -> _PassLayout:
+        """The layer skeleton of one ``part`` pass (memoised per part)."""
+        layout = self._layouts.get(part)
+        if layout is not None:
+            return layout
+        config = self.config
+        moe_positions = self.placement.moe_positions(part)
+        num_layers = (config.num_encoder_layers if part == "encoder"
+                      else config.num_decoder_layers)
+        schedule = None
+        if self.design == "pregated" and moe_positions:
+            schedule = PreGateSchedule(num_blocks=len(moe_positions),
+                                       activation_level=self.activation_level)
+        runs = []
+        dense: List[int] = []
+        for layer in range(num_layers):
+            if layer in moe_positions:
+                runs.append((tuple(dense), layer,
+                             self._gates_evaluated_at(len(runs), schedule)))
+                dense = []
+            else:
+                dense.append(layer)
+        layout = self._layouts[part] = _PassLayout(runs, tuple(dense))
+        return layout
 
     # ------------------------------------------------------------------
     # Columnar emission of one stack traversal
@@ -328,6 +380,12 @@ class IterationSimulator:
         in emission order; op times exist only once the owning timeline
         commits the batch.
 
+        The dense compute run ahead of each MoE block's expert stage — the
+        attention and FFN ops of the layers since the previous MoE block,
+        the MoE layer's attention, its gate and the host sync that issues
+        its fetches — goes in as one :meth:`OpBatch.add_run`; only the
+        fetch, expert-execution and all-to-all ops are added one by one.
+
         ``start_at`` gates the pass on the owning request's arrival time;
         ``batch_round`` enables cross-request expert-transfer dedup;
         ``label`` prefixes op names so interleaved requests stay
@@ -337,143 +395,127 @@ class IterationSimulator:
         must wait for (the same request's trailing combine from its previous
         pass on an expert-parallel replica).
         """
-        config = self.config
         placement = self.placement
-        moe_positions = placement.moe_positions(part)
-        num_layers = (config.num_encoder_layers if part == "encoder"
-                      else config.num_decoder_layers)
-        num_blocks = len(moe_positions)
+        layout = self._layout(part)
         if plan is None:
             plan = self.make_plan(part, activations)
-        transfers_by_issue = plan.by_issue_block()
-        schedule = None
-        if self.design == "pregated" and num_blocks > 0:
-            schedule = PreGateSchedule(num_blocks=num_blocks,
-                                       activation_level=self.activation_level)
+        transfers_by_issue = (plan.by_issue_block() if self.offloads_experts
+                              else {})
+        nonmoe = self._nonmoe_duration(part, query_tokens, self_kv_tokens,
+                                       cross_kv_tokens or self_kv_tokens)
+        ffn = self._ffn_duration(query_tokens)
         gate_time = self._gate_duration(query_tokens)
+        sync_time = self.system.host_sync_overhead
         names = batch.record_names
+        prefix = f"{label}{part}{iteration}" if names else ""
+        block_offset = placement.global_block_index(part, 0)
         base_id = batch.base_id
         emitted = EmittedPass(first_index=-1, last_index=-1)
         #: Per-target-block list of (op_id, owning device) for issued fetches.
         transfer_ops_by_target: Dict[int, List[Tuple[int, int]]] = {}
         allocation_tags: Dict[int, List[str]] = {}
-        last_compute_id = -1
-        moe_block_cursor = 0
         #: Cross-lane ordering the next device-0 compute op must declare:
         #: the previous MoE block's combine op (expert-parallel only), seeded
         #: with the caller's carry-over from the request's previous pass.
         carry_deps: List[int] = list(extra_deps or [])
         batch_add = batch.add
 
-        def add_compute(name: Optional[str], duration: float,
-                        deps: Sequence[int] = (),
-                        category: int = CAT_COMPUTE) -> int:
-            dep_list = list(deps)
-            if carry_deps:
-                dep_list.extend(carry_deps)
-                carry_deps.clear()
-            op_id = batch_add(
-                _COMPUTE, duration, deps=dep_list, category=category,
+        def add_run(dense: Sequence[int], durations: List[float],
+                    categories: List[int], names_after: List[str]) -> int:
+            """Emit the dense layers, then the ops already in the lists;
+            returns the id of the run's last op."""
+            run_names = None
+            if names:
+                run_names = [f"{prefix}.layer{layer}.{op}" for layer in dense
+                             for op in ("attention", "ffn")] + names_after
+            first_id = batch.add_run(
+                [nonmoe, ffn] * len(dense) + durations,
+                [CAT_NON_MOE] * (2 * len(dense)) + categories,
+                deps=carry_deps,
                 earliest_start=start_at if emitted.first_index < 0 else 0.0,
-                name=name)
+                names=run_names)
+            carry_deps.clear()
             if emitted.first_index < 0:
-                emitted.first_index = op_id - base_id
-            emitted.last_index = op_id - base_id
-            return op_id
+                emitted.first_index = first_id - base_id
+            last_id = first_id + 2 * len(dense) + len(durations) - 1
+            emitted.last_index = last_id - base_id
+            return last_id
 
-        for layer in range(num_layers):
-            # --- non-MoE portion of the transformer block -------------
-            nonmoe = self._nonmoe_duration(
-                part, query_tokens, self_kv_tokens,
-                cross_kv_tokens or self_kv_tokens)
-            last_compute_id = add_compute(
-                f"{label}{part}{iteration}.layer{layer}.attention"
-                if names else None, nonmoe, category=CAT_NON_MOE)
-
-            if layer not in moe_positions:
-                last_compute_id = add_compute(
-                    f"{label}{part}{iteration}.layer{layer}.ffn"
-                    if names else None, self._ffn_duration(query_tokens),
-                    category=CAT_NON_MOE)
-                continue
-
-            # --- MoE block --------------------------------------------
-            block = moe_block_cursor
-            moe_block_cursor += 1
-            input_ready_id = last_compute_id
-
-            # (1) Expert-selection stage: gate / pre-gate / first-gate ops.
-            num_gates = self._gates_evaluated_at(block, schedule)
-            if num_gates > 0:
-                last_compute_id = add_compute(
-                    f"{label}{part}{iteration}.moe{block}.gate"
-                    if names else None, num_gates * gate_time,
-                    category=CAT_GATE)
-
-            # (2) Issue expert migrations whose selection happened here.
-            issued = transfers_by_issue.get(block, [])
-            if issued and self.offloads_experts:
-                to_issue = []
-                for transfer in issued:
-                    key = (placement.global_block_index(part, transfer.block_index),
-                           transfer.expert_id)
-                    if batch_round is not None and batch_round.is_fetched(key):
-                        # Already satisfied: fetched by another request of
-                        # this round (share the migration, depend on its
-                        # copy op) or resident in the shared cache (no
-                        # dependency needed).
-                        dedup_op = batch_round.copy_op(key)
-                        if dedup_op is not None:
-                            transfer_ops_by_target.setdefault(
-                                transfer.block_index, []).append(
-                                    (dedup_op,
-                                     placement.owner_device(transfer.expert_id)))
-                        continue
-                    to_issue.append((transfer, key))
-                if to_issue:
-                    sync_id = add_compute(
-                        f"{label}{part}{iteration}.moe{block}.issue_transfers"
-                        if names else None, self.system.host_sync_overhead,
-                        category=CAT_SYNC)
-                    last_compute_id = sync_id
-                    for transfer, key in to_issue:
-                        # The placement routes the fetch through the tier
-                        # path: a stage miss with a DRAM stage splits into
-                        # an SSD→DRAM read on the stage stream plus a
-                        # dependent PCIe op carrying the pipelined
-                        # remainder.  The route's device is the shard owning
-                        # the expert; its copy/stage lanes carry the fetch.
-                        route = placement.route_fetch(key, transfer)
-                        deps: List[int] = [sync_id]
-                        if route.stage_duration > 0.0:
-                            stage_id = batch_add(
-                                _STAGE, route.stage_duration, deps=deps,
-                                category=CAT_STAGE_IN, device=route.device,
-                                num_bytes=transfer.bytes,
-                                name=(f"{label}{part}{iteration}"
-                                      f".moe{transfer.block_index}"
-                                      f".stage_expert{transfer.expert_id}")
-                                if names else None)
-                            deps = [stage_id]
-                        copy_id = batch_add(
-                            _COPY, route.copy_duration, deps=deps,
-                            category=CAT_EXPERT_TRANSFER, device=route.device,
-                            num_bytes=transfer.bytes,
-                            name=(f"{label}{part}{iteration}"
-                                  f".moe{transfer.block_index}"
-                                  f".fetch_expert{transfer.expert_id}")
-                            if names else None)
+        for block, (dense, moe_layer, num_gates) in enumerate(layout.runs):
+            # Expert migrations whose selection happens at this block.
+            issued = transfers_by_issue.get(block, ())
+            to_issue = []
+            for transfer in issued:
+                key = (block_offset + transfer.block_index, transfer.expert_id)
+                if batch_round is not None and batch_round.is_fetched(key):
+                    # Already satisfied: fetched by another request of this
+                    # round (share the migration, depend on its copy op) or
+                    # resident in the shared cache (no dependency needed).
+                    dedup_op = batch_round.copy_op(key)
+                    if dedup_op is not None:
                         transfer_ops_by_target.setdefault(
                             transfer.block_index, []).append(
-                                (copy_id, route.device))
-                        if batch_round is not None:
-                            batch_round.fetch(placement, part, transfer, key,
-                                              copy_id)
-                        else:
-                            tag = placement.allocate_expert(
-                                part, transfer.block_index, transfer.expert_id)
-                            allocation_tags.setdefault(
-                                transfer.block_index, []).append(tag)
+                                (dedup_op,
+                                 placement.owner_device(transfer.expert_id)))
+                    continue
+                to_issue.append((transfer, key))
+
+            # (1) The MoE layer's attention, then the expert-selection stage
+            # (gate / pre-gate / first-gate ops) and the host sync issuing
+            # the migrations selected here.
+            durations = [nonmoe]
+            categories = [CAT_NON_MOE]
+            if num_gates > 0:
+                durations.append(num_gates * gate_time)
+                categories.append(CAT_GATE)
+            if to_issue:
+                durations.append(sync_time)
+                categories.append(CAT_SYNC)
+            names_after = []
+            if names:
+                names_after.append(f"{prefix}.layer{moe_layer}.attention")
+                if num_gates > 0:
+                    names_after.append(f"{prefix}.moe{block}.gate")
+                if to_issue:
+                    names_after.append(f"{prefix}.moe{block}.issue_transfers")
+            last_compute_id = add_run(dense, durations, categories,
+                                      names_after)
+            input_ready_id = last_compute_id - len(durations) + 1
+
+            # (2) Issue the migrations.  The placement routes each fetch
+            # through the tier path: a stage miss with a DRAM stage splits
+            # into an SSD→DRAM read on the stage stream plus a dependent
+            # PCIe op carrying the pipelined remainder.  The route's device
+            # is the shard owning the expert; its copy/stage lanes carry
+            # the fetch.
+            for transfer, key in to_issue:
+                route = placement.route_fetch(key, transfer)
+                deps: List[int] = [last_compute_id]
+                if route.stage_duration > 0.0:
+                    stage_id = batch_add(
+                        _STAGE, route.stage_duration, deps=deps,
+                        category=CAT_STAGE_IN, device=route.device,
+                        num_bytes=transfer.bytes,
+                        name=(f"{prefix}.moe{transfer.block_index}"
+                              f".stage_expert{transfer.expert_id}")
+                        if names else None)
+                    deps = [stage_id]
+                copy_id = batch_add(
+                    _COPY, route.copy_duration, deps=deps,
+                    category=CAT_EXPERT_TRANSFER, device=route.device,
+                    num_bytes=transfer.bytes,
+                    name=(f"{prefix}.moe{transfer.block_index}"
+                          f".fetch_expert{transfer.expert_id}")
+                    if names else None)
+                transfer_ops_by_target.setdefault(
+                    transfer.block_index, []).append((copy_id, route.device))
+                if batch_round is not None:
+                    batch_round.fetch(placement, part, transfer, key, copy_id)
+                else:
+                    tag = placement.allocate_expert(
+                        part, transfer.block_index, transfer.expert_id)
+                    allocation_tags.setdefault(
+                        transfer.block_index, []).append(tag)
 
             # (3) Expert-execution stage: waits for this block's transfers.
             activated = activations[block] if block < len(activations) else []
@@ -482,20 +524,18 @@ class IterationSimulator:
             if not self.multi_device:
                 exec_time = self._exec_duration(query_tokens,
                                                 max(1, len(activated)))
-                last_compute_id = block_end_id = add_compute(
-                    f"{label}{part}{iteration}.moe{block}.experts"
-                    if names else None, exec_time,
+                block_end_id = batch_add(
+                    _COMPUTE, exec_time,
                     deps=[op_id for op_id, _ in block_transfer_ops],
-                    category=CAT_EXPERT_EXECUTION)
+                    category=CAT_EXPERT_EXECUTION,
+                    name=f"{prefix}.moe{block}.experts" if names else None)
+                emitted.last_index = block_end_id - base_id
                 exec_ids: Sequence[int] = (block_end_id,)
                 dispatch_id = -1
             else:
-                (block_end_id, device0_exec_id, exec_ids,
-                 dispatch_id) = self._emit_sharded_block(
-                    batch, part, iteration, block, activated, query_tokens,
-                    block_transfer_ops, last_compute_id, carry_deps, label)
-                if device0_exec_id >= 0:
-                    last_compute_id = device0_exec_id
+                block_end_id, exec_ids, dispatch_id = self._emit_sharded_block(
+                    batch, prefix, block, activated, query_tokens,
+                    block_transfer_ops, last_compute_id, carry_deps)
                 emitted.last_index = block_end_id - base_id
             emitted.blocks.append((block, len(activated), input_ready_id,
                                    exec_ready_id, block_end_id, exec_ids,
@@ -510,15 +550,16 @@ class IterationSimulator:
                 placement.release_block_experts(
                     part, block, allocation_tags.get(block, []), activated)
 
+        if layout.tail:
+            add_run(layout.tail, [], [], [])
         emitted.carry_deps = list(carry_deps)
         return emitted
 
-    def _emit_sharded_block(self, batch: OpBatch, part: str, iteration: int,
-                            block: int, activated, query_tokens: int,
+    def _emit_sharded_block(self, batch: OpBatch, prefix: str, block: int,
+                            activated, query_tokens: int,
                             block_transfer_ops: List[Tuple[int, int]],
-                            last_compute_id: int, carry_deps: List[int],
-                            label: str
-                            ) -> Tuple[int, int, List[int], int]:
+                            last_compute_id: int, carry_deps: List[int]
+                            ) -> Tuple[int, List[int], int]:
         """Execute one MoE block across the devices owning its experts.
 
         Tokens are dispatched from device 0 (where the gate ran) to every
@@ -527,8 +568,7 @@ class IterationSimulator:
         back — dispatch and combine are transfers on the interconnect
         stream, sized from the activation counts, so they overlap with the
         expert fetches in flight on the copy lanes.  Returns the op id that
-        completes the block, device 0's exec op id (-1 when device 0 owns
-        no activated expert), every exec op id and the dispatch op id (-1
+        completes the block, every exec op id and the dispatch op id (-1
         when no token crosses the interconnect).  Appends cross-lane
         ordering for the next compute op to ``carry_deps``.
         """
@@ -551,7 +591,7 @@ class IterationSimulator:
         remote_share = sum(n for d, n in counts.items() if d != 0) / total_active
         alltoall_bytes = token_assignments * remote_share * self._token_bytes
         names = batch.record_names
-        base = f"{label}{part}{iteration}.moe{block}" if names else None
+        base = f"{prefix}.moe{block}" if names else None
         participating = set(counts)
         leftover_deps = [op_id for op_id, dev in block_transfer_ops
                          if dev not in participating]
@@ -566,7 +606,6 @@ class IterationSimulator:
             placement.record_alltoall(alltoall_bytes)
 
         exec_ids: List[int] = []
-        device0_exec_id = -1
         for device in sorted(counts):
             exec_time = self._exec_duration(query_tokens,
                                             max(1, counts[device]))
@@ -579,21 +618,18 @@ class IterationSimulator:
                 # every one of the block's transfers" semantics.
                 deps.extend(leftover_deps)
                 leftover_deps = []
-            op_id = batch.add(_COMPUTE, exec_time, deps=deps,
-                              category=CAT_EXPERT_EXECUTION, device=device,
-                              name=f"{base}.experts" if names else None)
-            exec_ids.append(op_id)
-            if device == 0:
-                device0_exec_id = op_id
+            exec_ids.append(batch.add(
+                _COMPUTE, exec_time, deps=deps, category=CAT_EXPERT_EXECUTION,
+                device=device, name=f"{base}.experts" if names else None))
         if dispatch_id < 0:
-            return exec_ids[0], device0_exec_id, exec_ids, dispatch_id
+            return exec_ids[0], exec_ids, dispatch_id
         combine_id = batch.add(
             _INTERCONNECT, self.topology.all_to_all_time(alltoall_bytes),
             deps=exec_ids + leftover_deps, category=CAT_ALLTOALL,
             num_bytes=alltoall_bytes, name=f"{base}.combine" if names else None)
         placement.record_alltoall(alltoall_bytes)
         carry_deps.append(combine_id)
-        return combine_id, device0_exec_id, exec_ids, dispatch_id
+        return combine_id, exec_ids, dispatch_id
 
     def emit_decoder_iteration(self, batch: OpBatch,
                                activations: IterationActivations,
@@ -617,11 +653,12 @@ class IterationSimulator:
             earliest_start=start_at if emitted.first_index < 0 else 0.0,
             name=f"{label}decoder{iteration}.lm_head"
             if batch.record_names else None)
-        lm_index = lm_id - batch.base_id
-        first = emitted.first_index if emitted.first_index >= 0 else lm_index
+        emitted.last_index = lm_id - batch.base_id
+        if emitted.first_index < 0:
+            emitted.first_index = emitted.last_index
         # The LM head consumed the trailing combine: nothing carries over.
-        return EmittedPass(first_index=first, last_index=lm_index,
-                           blocks=emitted.blocks)
+        emitted.carry_deps = []
+        return emitted
 
     def emit_encoder_pass(self, batch: OpBatch,
                           activations: IterationActivations,

@@ -8,7 +8,7 @@ Switch-Large on an 80 GB A100 (Figures 10-12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Hashable, Iterator, Optional
 
 
 class OutOfMemoryError(RuntimeError):
@@ -27,11 +27,11 @@ class OutOfMemoryError(RuntimeError):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     """A live allocation inside a :class:`MemoryPool`."""
 
-    tag: str
+    tag: Hashable
     num_bytes: int
     category: str = "generic"
 
@@ -52,7 +52,7 @@ class MemoryPool:
         #: :class:`TieredMemory`; surfaces in :class:`OutOfMemoryError`.
         self.tier = tier
         self.capacity = int(capacity)
-        self._allocations: Dict[str, Allocation] = {}
+        self._allocations: Dict[Hashable, Allocation] = {}
         self._in_use = 0
         self._peak = 0
         #: Running in-use bytes per category, so usage and peaks are O(1).
@@ -79,7 +79,7 @@ class MemoryPool:
         return self._peak / self.capacity
 
     # ------------------------------------------------------------------
-    def allocate(self, tag: str, num_bytes: int, category: str = "generic",
+    def allocate(self, tag: Hashable, num_bytes: int, category: str = "generic",
                  allow_oversubscribe: bool = False) -> Allocation:
         """Reserve ``num_bytes`` under ``tag``.
 
@@ -89,21 +89,22 @@ class MemoryPool:
         """
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        if tag in self._allocations:
+        allocations = self._allocations
+        if tag in allocations:
             raise ValueError(f"allocation tag {tag!r} already exists in pool {self.name!r}")
         if not allow_oversubscribe and self._in_use + num_bytes > self.capacity:
             raise OutOfMemoryError(self, num_bytes)
-        alloc = Allocation(tag=tag, num_bytes=int(num_bytes), category=category)
-        self._allocations[tag] = alloc
-        self._in_use += alloc.num_bytes
-        self._peak = max(self._peak, self._in_use)
+        alloc = allocations[tag] = Allocation(tag, int(num_bytes), category)
+        in_use = self._in_use = self._in_use + alloc.num_bytes
+        if in_use > self._peak:
+            self._peak = in_use
         cat_usage = self._category_usage.get(category, 0) + alloc.num_bytes
         self._category_usage[category] = cat_usage
         if cat_usage > self._category_peaks.get(category, 0):
             self._category_peaks[category] = cat_usage
         return alloc
 
-    def free(self, tag: str) -> None:
+    def free(self, tag: Hashable) -> None:
         """Release the allocation registered under ``tag``."""
         alloc = self._allocations.pop(tag, None)
         if alloc is None:
@@ -120,7 +121,7 @@ class MemoryPool:
             self.free(tag)
         return freed
 
-    def has(self, tag: str) -> bool:
+    def has(self, tag: Hashable) -> bool:
         return tag in self._allocations
 
     def category_usage(self, category: str) -> int:

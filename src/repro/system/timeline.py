@@ -65,6 +65,17 @@ STREAMS: Tuple[Stream, ...] = (Stream.COMPUTE, Stream.COPY, Stream.STAGE,
                                Stream.INTERCONNECT)
 STREAM_CODE: Dict[Stream, int] = {stream: code for code, stream in enumerate(STREAMS)}
 _COMPUTE_CODE = STREAM_CODE[Stream.COMPUTE]
+_NUM_STREAMS = len(STREAMS)
+
+
+def lane_code(stream_code: int, device: int) -> int:
+    """Dense integer key of the (stream, device) lane; keys the lane clocks
+    and busy totals so the kernel never hashes a :class:`Stream`."""
+    return stream_code + _NUM_STREAMS * device
+
+
+def _lane_of(code: int) -> Tuple[Stream, int]:
+    return STREAMS[code % _NUM_STREAMS], code // _NUM_STREAMS
 
 # Interned op-category names.  Categories are a tiny closed set ("non_moe",
 # "expert_transfer", …); the columnar batch stores the integer code so the
@@ -137,6 +148,33 @@ class OpBatch:
             self.names.append(name if name is not None else "")
         return self.base_id + len(self.duration) - 1
 
+    def add_run(self, durations: Sequence[float], categories: Sequence[int],
+                deps: Sequence[int] = (), earliest_start: float = 0.0,
+                names: Optional[Sequence[str]] = None) -> int:
+        """Append a run of device-0 compute ops with one extend per column.
+
+        ``deps`` and ``earliest_start`` gate the run's first op only; the
+        rest follow it in lane order.  ``names`` is read only when the batch
+        records names.  Returns the global op id of the run's first op.
+        """
+        k = len(durations)
+        if k == 0:
+            raise ValueError("a run needs at least one op")
+        first = self.base_id + len(self.duration)
+        self.stream.extend([_COMPUTE_CODE] * k)
+        self.device.extend([0] * k)
+        self.duration.extend(durations)
+        self.earliest.append(earliest_start)
+        self.earliest.extend([0.0] * (k - 1))
+        self.category.extend(categories)
+        self.num_bytes.extend([0.0] * k)
+        if deps:
+            self.dep_ids.extend(deps)
+        self.dep_offsets.extend([len(self.dep_ids)] * k)
+        if self.names is not None:
+            self.names.extend(names)
+        return first
+
     def op_label(self, index: int) -> str:
         """Human-readable identity of op ``index`` for error messages."""
         if self.names is not None and self.names[index]:
@@ -201,13 +239,14 @@ class ArrayTimeline:
     def __init__(self, record_trace: bool = False) -> None:
         self.record_trace = record_trace
         self._next_op_id = 0
-        self._lane_free: Dict[Tuple[Stream, int], float] = {}
+        #: Lane clock by :func:`lane_code`.
+        self._lane_free: Dict[int, float] = {}
         #: Live dependency info by op id: (end time, stream code).
         self._live_info: Dict[int, Tuple[float, int]] = {}
         self._peak_live_ops = 0
         # ---- incremental aggregates --------------------------------------
         self._makespan = 0.0
-        self._lane_busy: Dict[Tuple[Stream, int], float] = {}
+        self._lane_busy: Dict[int, float] = {}
         self._lane_exposed: Dict[int, float] = {}
         self._device_set: set = set()
         self._category_count: Dict[str, int] = {}
@@ -264,6 +303,11 @@ class ArrayTimeline:
         Summed aggregates (lane busy time, category durations and bytes)
         are folded per batch with :func:`numpy.bincount`, which may
         reassociate the float additions relative to a per-op sum.
+
+        The commit is atomic: a batch with an invalid op (negative
+        duration, earliest start or device, or a dependency on an op that
+        is not live or not earlier in the batch) raises and leaves every
+        lane clock, live op, aggregate and op id as they were.
         """
         if batch.base_id != self._next_op_id:
             raise RuntimeError(
@@ -273,7 +317,6 @@ class ArrayTimeline:
         n = len(batch)
         if n == 0:
             return (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64))
-        streams_t = STREAMS
         stream_codes = batch.stream
         devices = batch.device
         durations = batch.duration
@@ -281,77 +324,98 @@ class ArrayTimeline:
         dep_ids = batch.dep_ids
         offsets = batch.dep_offsets
         base = batch.base_id
-        starts: List[float] = [0.0] * n
-        ends: List[float] = [0.0] * n
+        lane_arr = np.array(stream_codes, dtype=np.int64)
+        if any(devices):
+            lane_arr += _NUM_STREAMS * np.array(devices, dtype=np.int64)
+            lanes = lane_arr.tolist()
+        else:
+            # Every op on device 0: the lane codes are the stream codes.
+            lanes = stream_codes
+        # Value checks run once per batch (``not x >= 0`` also catches a
+        # NaN that hides a negative from ``min``); the loop stops short of
+        # the first invalid op so an earlier op's bad dependency still
+        # reports first, as it would op by op.
+        valid = n
+        if not (min(durations) >= 0 and min(earliest) >= 0
+                and min(devices) >= 0):
+            valid = next((i for i in range(n) if durations[i] < 0
+                          or earliest[i] < 0 or devices[i] < 0), n)
+        starts: List[float] = []
+        ends: List[float] = []
+        add_start = starts.append
+        add_end = ends.append
         lane_free = self._lane_free
         live_info = self._live_info
         exposed = self._lane_exposed
-        for i in range(n):
-            duration = durations[i]
-            earliest_start = earliest[i]
-            device = devices[i]
-            if duration < 0 or earliest_start < 0 or device < 0:
-                self._raise_invalid_op(batch, i)
-            s_code = stream_codes[i]
-            lane = (streams_t[s_code], device)
+        # Lane clocks and exposed-copy totals move inside the loop; a bad
+        # dependency restores them from these (a few entries each).
+        saved = (dict(lane_free), dict(exposed))
+        lo = 0
+        for i, lane, earliest_start, duration, hi in zip(
+                range(valid), lanes, earliest, durations, offsets[1:]):
             free = lane_free.get(lane, 0.0)
-            ready = 0.0
-            compute_ready = 0.0
-            for k in range(offsets[i], offsets[i + 1]):
-                dep = dep_ids[k]
-                if dep >= base:
-                    j = dep - base
-                    if j >= i:
-                        self._raise_bad_dep(batch, i, dep)
-                    dep_end = ends[j]
-                    dep_stream = stream_codes[j]
-                else:
-                    info = live_info.get(dep)
-                    if info is None:
-                        self._raise_bad_dep(batch, i, dep)
-                    dep_end, dep_stream = info
-                if dep_end > ready:
-                    ready = dep_end
-                if dep_stream == _COMPUTE_CODE and dep_end > compute_ready:
-                    compute_ready = dep_end
             start = free
-            if ready > start:
-                start = ready
-            if earliest_start > start:
-                start = earliest_start
+            if hi == lo:
+                # No dependency: the start is the lane clock or the arrival,
+                # and a compute op cannot stall on a transfer.
+                if earliest_start > start:
+                    start = earliest_start
+            else:
+                ready = 0.0
+                compute_ready = 0.0
+                for dep in dep_ids[lo:hi]:
+                    if dep >= base:
+                        j = dep - base
+                        if j >= i:
+                            self._abort(saved, batch, i, dep)
+                        dep_end = ends[j]
+                        dep_stream = stream_codes[j]
+                    else:
+                        info = live_info.get(dep)
+                        if info is None:
+                            self._abort(saved, batch, i, dep)
+                        dep_end, dep_stream = info
+                    if dep_end > ready:
+                        ready = dep_end
+                    if dep_stream == _COMPUTE_CODE and dep_end > compute_ready:
+                        compute_ready = dep_end
+                lo = hi
+                if ready > start:
+                    start = ready
+                if earliest_start > start:
+                    start = earliest_start
+                if stream_codes[i] == _COMPUTE_CODE:
+                    # Online exposed-copy accounting (see exposed_copy_time):
+                    # the stall beyond compute-side readiness.
+                    stall_floor = free
+                    if compute_ready > stall_floor:
+                        stall_floor = compute_ready
+                    if earliest_start > stall_floor:
+                        stall_floor = earliest_start
+                    stall = start - stall_floor
+                    if stall > 0.0:
+                        device = devices[i]
+                        exposed[device] = exposed.get(device, 0.0) + stall
             end = start + duration
             lane_free[lane] = end
-            starts[i] = start
-            ends[i] = end
-            live_info[base + i] = (end, s_code)
-            if s_code == _COMPUTE_CODE:
-                # Online exposed-copy accounting (see exposed_copy_time):
-                # the stall beyond compute-side readiness.
-                stall_floor = free
-                if compute_ready > stall_floor:
-                    stall_floor = compute_ready
-                if earliest_start > stall_floor:
-                    stall_floor = earliest_start
-                stall = start - stall_floor
-                if stall > 0.0:
-                    exposed[device] = exposed.get(device, 0.0) + stall
+            add_start(start)
+            add_end(end)
+        if valid < n:
+            self._abort(saved, batch, valid)
         self._next_op_id = base + n
+        live_info.update(zip(range(base, base + n), zip(ends, stream_codes)))
         starts_arr = np.array(starts)
         ends_arr = np.array(ends)
         # ---- vectorized per-batch aggregate folds ------------------------
-        duration_arr = np.array(durations)
+        duration_arr = np.array(durations, dtype=np.float64)
         batch_makespan = float(ends_arr.max())
         if batch_makespan > self._makespan:
             self._makespan = batch_makespan
-        stream_arr = np.array(stream_codes, dtype=np.int64)
-        device_arr = np.array(devices, dtype=np.int64)
-        lane_keys = (stream_arr << 32) | device_arr
-        unique_lanes, inverse = np.unique(lane_keys, return_inverse=True)
-        lane_sums = np.bincount(inverse, weights=duration_arr)
+        lane_counts = np.bincount(lane_arr)
+        lane_sums = np.bincount(lane_arr, weights=duration_arr)
         lane_busy = self._lane_busy
-        for key, busy in zip(unique_lanes.tolist(), lane_sums.tolist()):
-            lane = (streams_t[key >> 32], key & 0xFFFFFFFF)
-            lane_busy[lane] = lane_busy.get(lane, 0.0) + busy
+        for lane in np.flatnonzero(lane_counts).tolist():
+            lane_busy[lane] = lane_busy.get(lane, 0.0) + float(lane_sums[lane])
         self._device_set.update(devices)
         category_arr = np.array(batch.category, dtype=np.int64)
         num_categories = len(_CATEGORY_NAMES)
@@ -378,8 +442,18 @@ class ArrayTimeline:
             self._trace_batches.append((batch, starts, ends))
         return starts_arr, ends_arr
 
-    def _raise_invalid_op(self, batch: OpBatch, index: int) -> None:
+    def _abort(self, saved: Tuple[Dict[int, float], Dict[int, float]],
+               batch: OpBatch, index: int, dep: Optional[int] = None) -> None:
+        """Undo the batch's lane clock and stall updates, then raise the
+        error of op ``index``: a bad dependency ``dep``, or a bad value."""
+        for live, before in zip((self._lane_free, self._lane_exposed), saved):
+            live.clear()
+            live.update(before)
         label = batch.op_label(index)
+        if dep is not None:
+            raise ValueError(
+                f"{label}: dependency {dep} does not reference a scheduled "
+                "op (retired, later in the batch, or never added)")
         if batch.duration[index] < 0:
             raise ValueError(f"{label}: duration must be non-negative "
                              f"(got {batch.duration[index]})")
@@ -388,20 +462,18 @@ class ArrayTimeline:
                              f"(got {batch.earliest[index]})")
         raise ValueError(f"{label}: device must be non-negative")
 
-    def _raise_bad_dep(self, batch: OpBatch, index: int, dep: int) -> None:
-        raise ValueError(
-            f"{batch.op_label(index)}: dependency {dep} does not reference a "
-            "scheduled op (retired, later in the batch, or never added)")
-
     # ------------------------------------------------------------------
     # Analytic fast-forward (round replay)
     # ------------------------------------------------------------------
     def replay_snapshot(self) -> Dict[str, object]:
-        """Copy of every aggregate round replay extrapolates (cheap dicts)."""
+        """Copy of every aggregate round replay extrapolates (cheap dicts).
+
+        Lane entries are keyed by ``(stream, device)``.
+        """
         return {
             "makespan": self._makespan,
-            "lane_free": dict(self._lane_free),
-            "lane_busy": dict(self._lane_busy),
+            "lane_free": {_lane_of(k): v for k, v in self._lane_free.items()},
+            "lane_busy": {_lane_of(k): v for k, v in self._lane_busy.items()},
             "lane_exposed": dict(self._lane_exposed),
             "category_count": dict(self._category_count),
             "category_duration": dict(self._category_duration),
@@ -436,8 +508,10 @@ class ArrayTimeline:
                 f"({makespan} < {self._makespan})")
         self._next_op_id += num_ops
         self._makespan = makespan
-        self._lane_free.update(lane_free)
-        self._lane_busy.update(lane_busy)
+        for lanes, values in ((self._lane_free, lane_free),
+                              (self._lane_busy, lane_busy)):
+            lanes.update((lane_code(STREAM_CODE[stream], device), value)
+                         for (stream, device), value in values.items())
         self._lane_exposed.update(lane_exposed)
         self._category_count.update(category_count)
         self._category_duration.update(category_duration)
@@ -459,15 +533,12 @@ class ArrayTimeline:
         """
         if self.record_trace:
             return 0
-        keep_set = set(keep)
         live = self._live_info
-        if keep_set:
-            retired = [op_id for op_id in live if op_id not in keep_set]
-        else:
-            retired = list(live)
-        for op_id in retired:
-            del live[op_id]
-        return len(retired)
+        kept = {op_id: live[op_id] for op_id in set(keep) if op_id in live}
+        retired = len(live) - len(kept)
+        live.clear()
+        live.update(kept)
+        return retired
 
     # ------------------------------------------------------------------
     # Queries (all O(1) / O(#lanes), served from the running aggregates)
@@ -493,9 +564,11 @@ class ArrayTimeline:
         return self._makespan
 
     def stream_busy_time(self, stream: Stream, device: Optional[int] = None) -> float:
+        code = STREAM_CODE[stream]
         if device is not None:
-            return self._lane_busy.get((stream, device), 0.0)
-        return sum(busy for (s, _), busy in self._lane_busy.items() if s is stream)
+            return self._lane_busy.get(lane_code(code, device), 0.0)
+        return sum(busy for lane, busy in self._lane_busy.items()
+                   if lane % _NUM_STREAMS == code)
 
     def devices(self) -> List[int]:
         """Device ids that have scheduled at least one op (sorted)."""
@@ -506,7 +579,7 @@ class ArrayTimeline:
         total = self._makespan
         if total <= 0.0:
             return 0.0
-        return self._lane_busy.get((Stream.COMPUTE, device), 0.0) / total
+        return self._lane_busy.get(lane_code(_COMPUTE_CODE, device), 0.0) / total
 
     def category_time(self, category: str) -> float:
         return self._category_duration.get(category, 0.0)
@@ -545,9 +618,11 @@ class ArrayTimeline:
         With ``device=None`` this is the latest free time over every device's
         lane of the stream — "when is the whole replica's compute free".
         """
+        code = STREAM_CODE[stream]
         if device is not None:
-            return self._lane_free.get((stream, device), 0.0)
-        lanes = [t for (s, _), t in self._lane_free.items() if s == stream]
+            return self._lane_free.get(lane_code(code, device), 0.0)
+        lanes = [t for lane, t in self._lane_free.items()
+                 if lane % _NUM_STREAMS == code]
         return max(lanes, default=0.0)
 
     def overlap_efficiency(self) -> float:

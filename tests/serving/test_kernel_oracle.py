@@ -11,7 +11,8 @@ catch must fail the same comparison.
 
 The scenarios cover the op shapes serving produces: plain rounds, expert
 caches, SSD fetches through a DRAM stage, expert-parallel shards whose
-trailing all-to-all combines carry into the next round's batch, and Poisson
+trailing all-to-all combines carry into the next round's batch (one
+request at a time, and four at once under Poisson arrivals), and Poisson
 arrivals that gate ops through ``earliest_start``.
 """
 
@@ -23,16 +24,17 @@ import pytest
 from repro.moe import get_config
 from repro.serving import make_scheduler
 from repro.system import SSD_SYSTEM
-from repro.system.timeline import ArrayTimeline, Stream
+from repro.system.timeline import ArrayTimeline, Stream, category_code
 from repro.workloads import TimedRequest, TraceGenerator
 
 from ..system.reference_timeline import ReferenceTimeline
 
 CONFIG = get_config("switch_base_64")
 
-#: name → (design, scheduler kwargs, Poisson arrivals?).  The 2-GPU case
-#: serves one request at a time, so a request's next pass directly follows
-#: its previous one on device 0 and the carried combine gates it.
+#: name → (design, scheduler kwargs, Poisson arrivals?).  The batch-1 2-GPU
+#: case serves one request at a time, so a request's next pass directly
+#: follows its previous one on device 0 and the carried combine gates it;
+#: the batch-4 one carries several requests' combines into one round.
 SCENARIOS = {
     "pregated_plain": ("pregated", {}, False),
     "ondemand_lru": ("ondemand", {"cache_policy": "lru",
@@ -42,6 +44,7 @@ SCENARIOS = {
                                         "stage_capacity": 64}, False),
     "pregated_2gpu": ("pregated", {"num_gpus": 2, "max_batch_size": 1},
                       False),
+    "pregated_2gpu_b4_poisson": ("pregated", {"num_gpus": 2}, True),
     "prefetch_all_poisson": ("prefetch_all", {}, True),
 }
 
@@ -217,11 +220,24 @@ def test_reference_catches_broken_kernel(monkeypatch, broken):
 
 @pytest.mark.parametrize("name,feature", [
     ("pregated_2gpu", "carried"), ("prefetch_all_poisson", "gated"),
-    ("pregated_ssd_stage", "staged"), ("ondemand_lru", "cached")])
+    ("pregated_ssd_stage", "staged"), ("ondemand_lru", "cached"),
+    ("pregated_2gpu_b4_poisson", "batched_alltoall")])
 def test_scenarios_exercise_their_op_shapes(monkeypatch, name, feature):
     """Each scenario really emits the op shape it is in the matrix for."""
     result, _, batches = captured_serve(monkeypatch, name)
-    if feature == "carried":
+    if feature == "batched_alltoall":
+        # A round holding several all-to-alls has an op past its first one
+        # (so another request's ops precede it) waiting on a combine
+        # carried in from an earlier round.
+        alltoall = category_code("alltoall")
+        assert any(
+            batch.category.count(alltoall) > 2
+            and any(dep < batch.base_id
+                    for dep in batch.dep_ids[batch.dep_offsets[1]:])
+            for batch, _, _ in batches)
+        assert any(start > 0.0 for batch, _, _ in batches
+                   for start in batch.earliest)
+    elif feature == "carried":
         # A combine emitted in one round gates an op of the next round:
         # the op starts exactly when the carried dependency ends.
         end_of = {batch.base_id + i: end for batch, _, ends in batches
@@ -239,3 +255,41 @@ def test_scenarios_exercise_their_op_shapes(monkeypatch, name, feature):
         assert result.tier_stats.stage_misses > 0
     else:
         assert result.cache_stats.hits > 0
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2])
+def test_trace_mode_emits_the_same_columns(monkeypatch, num_gpus):
+    """One emission path: trace mode differs from no-trace only by names.
+
+    A batch-8 Poisson stream is served with and without trace recording
+    (replay off); every committed batch must carry identical columns, and
+    every op of the traced serve a non-empty name.
+    """
+    committed = {True: [], False: []}
+    commit = ArrayTimeline.commit_batch
+
+    def recording_commit(self, batch):
+        committed[self.record_trace].append(batch)
+        return commit(self, batch)
+
+    monkeypatch.setattr(ArrayTimeline, "commit_batch", recording_commit)
+    generator = TraceGenerator(CONFIG, skew=1.2, seed=5)
+    arrivals = np.cumsum(np.random.default_rng(5).exponential(1.0 / 20.0,
+                                                              size=16))
+    requests = [TimedRequest(request_id=i, arrival_time=float(arrivals[i]),
+                             trace=generator.request_trace(input_length=8,
+                                                           output_length=6))
+                for i in range(16)]
+    for record_trace in (True, False):
+        make_scheduler("pregated", CONFIG, max_batch_size=8,
+                       num_gpus=num_gpus, round_replay=False,
+                       record_trace=record_trace).serve(requests)
+    traced, plain = committed[True], committed[False]
+    assert len(traced) == len(plain) > 1
+    assert max(len(batch) for batch in plain) > 100
+    for a, b in zip(traced, plain):
+        for column in ("base_id", "stream", "device", "duration", "earliest",
+                       "category", "num_bytes", "dep_ids", "dep_offsets"):
+            assert getattr(a, column) == getattr(b, column), column
+        assert b.names is None
+        assert len(a.names) == len(a) and all(a.names)

@@ -21,14 +21,18 @@ form instead of re-simulating each one.  These tests pin its contract:
 * boundary behaviour — staggered arrivals and completions land on the
   same timestamps with and without replay, i.e. fast-forward windows
   never cross an admission or completion event;
+* every planned window that stands down is counted under the reason it
+  stood down for;
 * the scheduler defaults to the array timeline with replay on.
 """
 
+import numpy as np
 import pytest
 
 from repro.moe import get_config
 from repro.serving import make_scheduler
-from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.serving.metrics import merge_load_results
+from repro.serving.scheduler import ContinuousBatchingScheduler, _RoundReplay
 from repro.system import SSD_SYSTEM
 from repro.system.timeline import ArrayTimeline
 from repro.workloads import TimedRequest, TraceGenerator
@@ -224,6 +228,54 @@ class TestReplayEngagement:
         replayed = serve("pregated", {}, True, requests)
         assert_replay_parity(kernel, replayed, "arrivals")
         assert replayed.replay_windows > 0
+
+
+def poisson_requests(n=24, rate=5.0, out=24, seed=1):
+    gen = TraceGenerator(CONFIG, skew=MIXED_SKEW, seed=seed)
+    arrivals = np.cumsum(np.random.default_rng(seed).exponential(1.0 / rate,
+                                                                 size=n))
+    return [TimedRequest(request_id=i, arrival_time=float(arrivals[i]),
+                         trace=gen.request_trace(input_length=8,
+                                                 output_length=out))
+            for i in range(n)]
+
+
+class TestStanddownCounts:
+    def test_batch8_poisson_counts_every_failed_plan(self, monkeypatch):
+        """Each ``try_apply`` that returns False is counted exactly once."""
+        outcomes = []
+        try_apply = _RoundReplay.try_apply
+
+        def recording(self, *args):
+            applied = try_apply(self, *args)
+            outcomes.append(applied)
+            return applied
+
+        monkeypatch.setattr(_RoundReplay, "try_apply", recording)
+        result = make_scheduler("pregated", CONFIG, max_batch_size=8,
+                                probe_interval=0.05).serve(poisson_requests())
+        counts = result.replay_standdowns
+        assert tuple(counts) == _RoundReplay.STANDDOWN_REASONS
+        assert sum(counts.values()) == outcomes.count(False) > 0
+        assert result.replay_windows == outcomes.count(True) > 0
+        assert result.summary()["replay_standdowns"] == counts
+        # The probe gauges end on the same counts.
+        for reason, count in counts.items():
+            assert result.probes.gauges[
+                f"replay_standdowns.{reason}"].last == count
+
+    def test_counts_sum_across_replicas(self):
+        result = make_scheduler("pregated", CONFIG, max_batch_size=8).serve(
+            poisson_requests())
+        merged = merge_load_results([result, result])
+        assert merged.replay_standdowns == {
+            reason: 2 * count
+            for reason, count in result.replay_standdowns.items()}
+
+    def test_disabled_replay_reports_no_standdowns(self):
+        result = make_scheduler("pregated", CONFIG, max_batch_size=8,
+                                round_replay=False).serve(poisson_requests())
+        assert result.replay_standdowns == {}
 
 
 class TestKnobValidation:

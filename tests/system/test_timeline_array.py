@@ -11,7 +11,8 @@ approximation of it:
   reductions, which may reassociate float additions);
 * the trace-recording kernel reports each op exactly as emitted, with the
   reference's start/end times;
-* batch validation points at the offending op and lane;
+* batch validation points at the offending op and lane, and a batch that
+  fails it leaves the timeline exactly as it was;
 * ``fast_forward`` applies absolute aggregate values and refuses trace
   mode and makespan rewinds.
 """
@@ -201,6 +202,86 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match=r"'orphan'.*41"):
             timeline.commit_batch(batch)
 
+    #: Last-op defect → (OpBatch.add overrides, the error it must raise).
+    BAD_LAST_OPS = {
+        "unknown_dep": ({"deps": [999]}, r"dependency 999 does not"),
+        "negative_duration": ({"duration": -0.5}, r"duration must be"),
+        "negative_earliest_start": ({"earliest_start": -1.0},
+                                    r"earliest_start must be"),
+        "negative_device": ({"device": -1}, r"device must be"),
+    }
+
+    @staticmethod
+    def seeded(timeline):
+        """One committed batch: a copy, a compute op stalled on it."""
+        batch = timeline.begin_batch()
+        copy = batch.add(STREAM_CODE[Stream.COPY], 2.0,
+                         category=category_code("copy"), name="seed_copy")
+        batch.add(STREAM_CODE[Stream.COMPUTE], 1.0, deps=[copy],
+                  category=category_code("compute"), name="seed_exec")
+        timeline.commit_batch(batch)
+        return timeline
+
+    @staticmethod
+    def state(timeline):
+        return (timeline.num_ops, timeline.live_op_count, timeline.peak_live_ops,
+                timeline.makespan, timeline.devices(),
+                timeline.exposed_copy_time(),
+                [timeline.stream_free_time(s, d) for s in STREAMS for d in (0, 1)],
+                [timeline.stream_busy_time(s) for s in STREAMS],
+                [(timeline.category_count(c), timeline.category_time(c),
+                  timeline.category_bytes(c)) for c in CATEGORIES])
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LAST_OPS))
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_failed_commit_changes_nothing(self, bad, record_trace):
+        """A batch whose last op is invalid raises and moves no state.
+
+        The ops before it would advance lane clocks on both lanes, book an
+        exposed copy stall on device 1 and go live; none of that may stick,
+        and the next batch reuses the ids and schedules as if the bad batch
+        had never been offered.
+        """
+        overrides, message = self.BAD_LAST_OPS[bad]
+        timeline = self.seeded(ArrayTimeline(record_trace=record_trace))
+        before = self.state(timeline)
+        batch = timeline.begin_batch()
+        copy = batch.add(STREAM_CODE[Stream.COPY], 3.0, device=1,
+                         category=category_code("copy"), num_bytes=64.0,
+                         name="copy")
+        batch.add(STREAM_CODE[Stream.COMPUTE], 1.0, deps=[copy], device=1,
+                  category=category_code("compute"), name="exec")
+        batch.add(**{"stream_code": STREAM_CODE[Stream.COMPUTE],
+                     "duration": 1.0, "name": "bad", **overrides})
+        # The error names the last op: by name when names are recorded.
+        label = "'bad'" if record_trace else "#4"
+        with pytest.raises(ValueError, match=rf"^op {label} .*{message}"):
+            timeline.commit_batch(batch)
+        assert self.state(timeline) == before
+
+        untouched = self.seeded(ArrayTimeline(record_trace=record_trace))
+        for t in (timeline, untouched):
+            retry = t.begin_batch()
+            retry.add(STREAM_CODE[Stream.COMPUTE], 1.0,
+                      category=category_code("compute"), name="next")
+            assert retry.base_id == 2
+            starts, ends = t.commit_batch(retry)
+            assert (starts.tolist(), ends.tolist()) == ([3.0], [4.0])
+        assert self.state(timeline) == self.state(untouched)
+        if record_trace:
+            assert timeline.to_records() == untouched.to_records()
+
+    def test_nan_does_not_hide_a_negative_value(self):
+        """A NaN (which the kernel lets through, as op-by-op checks did)
+        ahead of a negative value must not mask it."""
+        timeline = ArrayTimeline(record_trace=True)
+        batch = timeline.begin_batch()
+        batch.add(0, float("nan"), earliest_start=float("nan"), name="nan")
+        batch.add(0, 1.0, earliest_start=-2.0, name="late")
+        with pytest.raises(ValueError, match=r"'late'.*earliest_start"):
+            timeline.commit_batch(batch)
+        assert timeline.num_ops == 0
+
     def test_batches_may_not_interleave(self):
         timeline = ArrayTimeline(record_trace=True)
         batch = timeline.begin_batch()
@@ -208,6 +289,30 @@ class TestBatchValidation:
         timeline.add("sneaky", Stream.COMPUTE, 1.0)
         with pytest.raises(RuntimeError, match="interleave"):
             timeline.commit_batch(batch)
+
+
+class TestAddRun:
+    def test_run_gates_only_its_first_op(self):
+        timeline = ArrayTimeline(record_trace=True)
+        copy = timeline.add("copy", Stream.COPY, 2.0)
+        batch = timeline.begin_batch()
+        first = batch.add_run([1.0, 0.5], [category_code("compute")] * 2,
+                              deps=[copy.op_id], earliest_start=0.25,
+                              names=["attention", "gate"])
+        assert first == 1
+        assert (batch.stream, batch.device, batch.earliest, batch.num_bytes,
+                batch.dep_ids, batch.dep_offsets) == (
+            [0, 0], [0, 0], [0.25, 0.0], [0.0, 0.0], [copy.op_id], [0, 1, 1])
+        starts, ends = timeline.commit_batch(batch)
+        assert (starts.tolist(), ends.tolist()) == ([2.0, 3.0], [3.0, 3.5])
+        assert [r["name"] for r in timeline.to_records()] == [
+            "copy", "attention", "gate"]
+
+    def test_empty_run_is_rejected(self):
+        batch = ArrayTimeline().begin_batch()
+        with pytest.raises(ValueError, match="at least one op"):
+            batch.add_run([], [])
+        assert len(batch) == 0 and batch.earliest == []
 
 
 class TestFastForward:
