@@ -93,9 +93,11 @@ class _RoundRecord:
     """Everything round replay needs about one executed decode round.
 
     Captured by the round path when the round is replay-eligible
-    (decode-only, no carried cross-pass deps, no cache/stage state).  The
-    :class:`~repro.system.timeline.OpBatch` is kept by reference — its
-    columns are the round's structural template.
+    (decode-only, no carried cross-pass deps).  Rounds on placements with
+    GPU residency or DRAM stage maps are recorded too: the maps' state
+    rides :attr:`residency_state`, which the window check requires to be
+    a per-round fixed point.  The :class:`~repro.system.timeline.OpBatch`
+    is kept by reference — its columns are the round's structural template.
     """
 
     base_id: int

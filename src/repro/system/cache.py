@@ -11,9 +11,8 @@ cache entries are per-block.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 ExpertKey = Tuple[int, int]  # (moe_block_index, expert_id)
 
@@ -49,7 +48,14 @@ class EvictionPolicy:
     def on_evict(self, key: ExpertKey) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:  # pragma: no cover
+    def choose_victim(self, candidates: Collection[ExpertKey]) -> ExpertKey:  # pragma: no cover
+        """Pick the key to evict among ``candidates``.
+
+        ``candidates`` is the owner's evictable set: a dict or live view
+        with O(1) ``in``, iterating in the owner's insertion order.  Order
+        policies walk their own order from the victim end and return the
+        first candidate, so a victim costs one step per skipped key.
+        """
         raise NotImplementedError
 
     # -- round-replay protocol ------------------------------------------
@@ -81,23 +87,24 @@ class LIFOPolicy(EvictionPolicy):
     name = "lifo"
 
     def __init__(self) -> None:
-        self._stack: List[ExpertKey] = []
+        # Insertion-ordered dict as a stack: O(1) push, removal and top.
+        self._stack: Dict[ExpertKey, None] = {}
 
     def on_insert(self, key: ExpertKey) -> None:
-        self._stack.append(key)
+        self._stack.pop(key, None)
+        self._stack[key] = None
 
     def on_access(self, key: ExpertKey) -> None:
         pass  # insertion order alone decides eviction
 
     def on_evict(self, key: ExpertKey) -> None:
-        if key in self._stack:
-            self._stack.remove(key)
+        self._stack.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
+    def choose_victim(self, candidates: Collection[ExpertKey]) -> ExpertKey:
         for key in reversed(self._stack):
-            if key in keys:
+            if key in candidates:
                 return key
-        return keys[-1]
+        return list(candidates)[-1]
 
     def replay_state(self) -> Tuple:
         return tuple(self._stack)
@@ -109,24 +116,28 @@ class LRUPolicy(EvictionPolicy):
     name = "lru"
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[ExpertKey, None]" = OrderedDict()
+        # Oldest first.  A plain dict re-inserts as fast as OrderedDict
+        # moves, and snapshots (replay_state) copy several times faster.
+        self._order: Dict[ExpertKey, None] = {}
 
     def on_insert(self, key: ExpertKey) -> None:
+        self._order.pop(key, None)
         self._order[key] = None
-        self._order.move_to_end(key)
 
     def on_access(self, key: ExpertKey) -> None:
-        if key in self._order:
-            self._order.move_to_end(key)
+        order = self._order
+        if key in order:
+            del order[key]
+            order[key] = None
 
     def on_evict(self, key: ExpertKey) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
+    def choose_victim(self, candidates: Collection[ExpertKey]) -> ExpertKey:
         for key in self._order:
-            if key in keys:
+            if key in candidates:
                 return key
-        return keys[0]
+        return next(iter(candidates))
 
     def replay_state(self) -> Tuple:
         return tuple(self._order)
@@ -149,8 +160,10 @@ class LFUPolicy(EvictionPolicy):
     def on_evict(self, key: ExpertKey) -> None:
         self._counts.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
-        return min(keys, key=lambda k: self._counts.get(k, 0))
+    def choose_victim(self, candidates: Collection[ExpertKey]) -> ExpertKey:
+        # A scan, but only per eviction; ties go to the earliest candidate.
+        counts = self._counts
+        return min(candidates, key=lambda k: counts.get(k, 0))
 
     def replay_state(self) -> Tuple:
         return tuple(sorted(self._counts.items()))
@@ -247,7 +260,7 @@ class ExpertCache:
             self.policy.on_access(key)
             return None
         if len(self._resident) >= self.capacity:
-            victim = self.policy.choose_victim(list(self._resident.keys()))
+            victim = self.policy.choose_victim(self._resident)
             del self._resident[victim]
             self.policy.on_evict(victim)
             self.stats.evictions += 1

@@ -37,7 +37,7 @@ saved bytes to the link they would have crossed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from .cache import EvictionPolicy, ExpertKey, make_policy
 from .memory import MemoryPool
@@ -109,13 +109,25 @@ class ResidencyStats:
         }
 
 
-@dataclass
-class _ResidentEntry:
-    """One expert currently holding GPU bytes."""
+class _UnpinnedView:
+    """Live view of a map's unpinned keys, handed to the eviction policy.
 
-    key: ExpertKey
-    tag: str
-    pins: int = 0
+    O(1) ``in``; iterates in residency insertion order (LFU's tie-break).
+    """
+
+    __slots__ = ("_tags", "_pins")
+
+    def __init__(self, tags: Dict[ExpertKey, str],
+                 pins: Dict[ExpertKey, int]) -> None:
+        self._tags = tags
+        self._pins = pins
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._tags and key not in self._pins
+
+    def __iter__(self) -> Iterator[ExpertKey]:
+        pins = self._pins
+        return (key for key in self._tags if key not in pins)
 
 
 class ExpertResidency:
@@ -163,7 +175,16 @@ class ExpertResidency:
         self.tag_prefix = tag_prefix
         self.category = category
         self.stats = ResidencyStats(source_tier=source_tier)
-        self._entries: Dict[ExpertKey, _ResidentEntry] = {}
+        # Every pin and release is O(1): resident keys map to their pool
+        # tags in insertion order, the pin table holds only pinned keys (so
+        # the retained count is the length difference), a
+        # {block: {expert: None}} index answers per-block queries, and
+        # policies pick victims by walking their own order over a live view
+        # of the unpinned keys.
+        self._tags: Dict[ExpertKey, str] = {}
+        self._pins: Dict[ExpertKey, int] = {}
+        self._by_block: Dict[int, Dict[int, None]] = {}
+        self._unpinned = _UnpinnedView(self._tags, self._pins)
         self._seq = 0
         #: Bumped on every insert and drop — round replay uses it to
         #: invalidate signature memos that folded in residency outcomes.
@@ -173,37 +194,36 @@ class ExpertResidency:
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tags)
 
     def __contains__(self, key: ExpertKey) -> bool:
-        return key in self._entries
+        return key in self._tags
 
     def is_resident(self, key: ExpertKey) -> bool:
-        return key in self._entries
+        return key in self._tags
 
     def pins(self, key: ExpertKey) -> int:
-        entry = self._entries.get(key)
-        return entry.pins if entry is not None else 0
+        return self._pins.get(key, 0)
 
     def resident_keys(self) -> List[ExpertKey]:
-        return list(self._entries.keys())
+        return list(self._tags)
 
     def resident_for_block(self, block_index: int) -> List[int]:
         """Expert ids of ``block_index`` currently resident (pinned or retained)."""
-        return [e for (b, e) in self._entries if b == block_index]
+        return list(self._by_block.get(block_index, ()))
 
     @property
     def retained_count(self) -> int:
         """Number of unpinned entries kept warm (bounded by ``capacity``)."""
-        return sum(1 for entry in self._entries.values() if entry.pins == 0)
+        return len(self._tags) - len(self._pins)
 
     @property
     def pinned_count(self) -> int:
-        return sum(1 for entry in self._entries.values() if entry.pins > 0)
+        return len(self._pins)
 
     @property
     def resident_bytes(self) -> int:
-        return len(self._entries) * self.expert_bytes
+        return len(self._tags) * self.expert_bytes
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -216,9 +236,8 @@ class ExpertResidency:
         reserved in the pool (evicting unpinned entries if the pool needed
         room) and the caller must issue the CPU→GPU migration.
         """
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.pins += 1
+        if key in self._tags:
+            self._pins[key] = self._pins.get(key, 0) + 1
             self.policy.on_access(key)
             self.stats.hits += 1
             self.stats.bytes_saved += self.expert_bytes
@@ -229,12 +248,14 @@ class ExpertResidency:
         tag = f"{self.tag_prefix}:{key[0]}:{key[1]}:{self._seq}"
         self.pool.allocate(tag, self.expert_bytes, category=self.category,
                            allow_oversubscribe=self.allow_oversubscription)
-        self._entries[key] = _ResidentEntry(key=key, tag=tag, pins=1)
+        self._tags[key] = tag
+        self._pins[key] = 1
+        self._by_block.setdefault(key[0], {})[key[1]] = None
         self.policy.on_insert(key)
         self.stats.misses += 1
         self.stats.bytes_transferred += self.expert_bytes
         self.stats.peak_resident_experts = max(self.stats.peak_resident_experts,
-                                               len(self._entries))
+                                               len(self._tags))
         return False
 
     def release(self, key: ExpertKey) -> None:
@@ -245,14 +266,15 @@ class ExpertResidency:
         chooses a victim among the unpinned entries (possibly this one).
         With capacity 0 the entry is freed immediately.
         """
-        entry = self._entries.get(key)
-        if entry is None:
+        pins = self._pins.get(key)
+        if pins is None:
+            if key in self._tags:
+                raise ValueError(f"expert {key!r} is not pinned")
             raise KeyError(f"expert {key!r} is not resident")
-        if entry.pins <= 0:
-            raise ValueError(f"expert {key!r} is not pinned")
-        entry.pins -= 1
-        if entry.pins > 0:
+        if pins > 1:
+            self._pins[key] = pins - 1
             return
+        del self._pins[key]
         if self.capacity <= 0:
             self._drop(key, count_eviction=False)
             return
@@ -280,9 +302,13 @@ class ExpertResidency:
     # stats counters then extrapolate as exact ``n * delta`` sums.
 
     def replay_state(self) -> tuple:
-        """Snapshot of everything that decides this map's future behaviour."""
-        return (tuple(sorted((key, entry.pins)
-                             for key, entry in self._entries.items())),
+        """Snapshot of everything that decides this map's future behaviour.
+
+        The resident set and the pinned keys' counts are unordered sets:
+        two snapshots are equal exactly when every key has the same pins,
+        which is all :meth:`replay_window_delta` compares, without sorting.
+        """
+        return ((frozenset(self._tags), frozenset(self._pins.items())),
                 self.policy.replay_state(),
                 self.stats.peak_resident_experts)
 
@@ -325,23 +351,20 @@ class ExpertResidency:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _evictable(self) -> List[ExpertKey]:
-        return [k for k, entry in self._entries.items() if entry.pins == 0]
-
     def _evict_one(self) -> bool:
-        candidates = self._evictable()
-        if not candidates:
+        if not self.retained_count:
             return False
-        victim = self.policy.choose_victim(candidates)
+        victim = self.policy.choose_victim(self._unpinned)
         self._drop(victim, count_eviction=True)
         return True
 
     def _drop(self, key: ExpertKey, count_eviction: bool) -> None:
-        entry = self._entries.pop(key)
+        tag = self._tags.pop(key)
+        del self._by_block[key[0]][key[1]]
         self.epoch += 1
         self.policy.on_evict(key)
-        if self.pool.has(entry.tag):
-            self.pool.free(entry.tag)
+        if self.pool.has(tag):
+            self.pool.free(tag)
         if count_eviction:
             self.stats.evictions += 1
 
