@@ -27,10 +27,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..tensor import (
+    DecodeCache,
     Dropout,
     Embedding,
     FeedForward,
-    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -137,14 +137,17 @@ class PreGatedDecoderBlock(Module):
 
     def forward(self, hidden: Tensor, encoder_hidden: Tensor, state: Optional[_PreGatedStackState],
                 encoder_padding_mask: Optional[np.ndarray] = None,
-                kv_cache: Optional[KVCache] = None,
+                kv_cache: Optional[DecodeCache] = None,
                 top_k: Optional[int] = None) -> Tuple[Tensor, Optional[RoutingDecision]]:
-        self_out = self.self_attention(self.self_norm(hidden), kv_cache=kv_cache)
+        self_kv = cross_kv = None
+        if kv_cache is not None:
+            self_kv, cross_kv = kv_cache.self_kv, kv_cache.cross_kv
+        self_out = self.self_attention(self.self_norm(hidden), kv_cache=self_kv)
         hidden = hidden + self.dropout(self_out)
 
         cross_out = self.cross_attention(
             self.cross_norm(hidden), key=encoder_hidden, value=encoder_hidden,
-            key_padding_mask=encoder_padding_mask,
+            key_padding_mask=encoder_padding_mask, kv_cache=cross_kv,
         )
         hidden = hidden + self.dropout(cross_out)
 
@@ -263,7 +266,7 @@ class PreGatedSwitchTransformer(Module):
 
     def decode(self, decoder_ids: np.ndarray, encoder_hidden: Tensor,
                encoder_padding_mask: Optional[np.ndarray] = None,
-               kv_caches: Optional[List[KVCache]] = None,
+               kv_caches: Optional[List[DecodeCache]] = None,
                trace: Optional[List[RoutingTraceEntry]] = None,
                top_k: Optional[int] = None) -> Tensor:
         hidden = self.embedding(decoder_ids)

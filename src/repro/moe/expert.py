@@ -54,6 +54,44 @@ class ExpertPool(Module):
         self.experts = ModuleList([
             Expert(i, d_model, d_ff, activation=activation, rng=rng) for i in range(num_experts)
         ])
+        self._wi = [expert.ffn.wi.weight for expert in self.experts]
+        self._wo = [expert.ffn.wo.weight for expert in self.experts]
+        # Built by the first forward, so construction followed by
+        # ``load_state_dict`` (loading a checkpoint) stacks only once.
+        self._stacks: Optional[List[np.ndarray]] = None
+        self._views: List[List[np.ndarray]] = []
+
+    def _restack(self) -> None:
+        """Copy every expert's weights into one stack per layer; alias them.
+
+        Afterwards ``experts[e].ffn.wi.weight.data`` *is* the view
+        ``wi_stack[e]`` (likewise ``wo``), so in-place updates (Adam) reach
+        the stacks and the grouped dispatch never re-stacks per call.
+        """
+        self._stacks = []
+        self._views = []
+        for params in (self._wi, self._wo):
+            stack = np.stack([p.data for p in params])
+            views = list(stack)
+            for p, view in zip(params, views):
+                p.data = view
+            self._stacks.append(stack)
+            self._views.append(views)
+
+    def _stacked_weights(self) -> List[np.ndarray]:
+        """The ``(E, d_model, d_ff)`` / ``(E, d_ff, d_model)`` weight stacks.
+
+        Anything that rebinds a parameter's array (``load_state_dict``,
+        ``SGD``, ``param.data = ...``) breaks the aliasing, and so does
+        copying the pool (``deepcopy`` and pickling copy each view into an
+        array of its own).  The identity check sees either and re-stacks,
+        so a stale stack is never used.
+        """
+        if self._stacks is None or any(
+                views[0].base is not stack or any(p._data is not v for p, v in zip(params, views))
+                for stack, views, params in zip(self._stacks, self._views, (self._wi, self._wo))):
+            self._restack()
+        return self._stacks
 
     def __len__(self) -> int:
         return self.num_experts
@@ -92,18 +130,20 @@ class ExpertPool(Module):
         return self._forward_grouped(hidden, routing)
 
     def _forward_grouped(self, hidden: Tensor, routing: RoutingDecision) -> Tensor:
-        """One stacked batched-matmul round over all activated experts.
+        """One stacked batched-matmul round over all experts.
 
-        Every (token, slot) routing pair is bucketed by expert into a
-        ``(experts, bucket_capacity, d_model)`` dispatch buffer; the expert
-        FFNs then run as two batched matmuls over stacked weights with the
-        shared activation primitive in between, and a single scatter-add
-        combines the weighted expert outputs.  The hand-written backward
-        mirrors the same batched structure, so the per-expert Python loop
-        disappears from both passes.  Gradients flow to ``hidden`` and the
-        activated experts' weights; router weights get no gradient through
-        the combine (matching the loop implementation, where the routing
-        weights enter as constants).
+        Every (token, slot) routing pair is bucketed by expert into an
+        ``(experts, bucket_capacity, d_model)`` dispatch buffer whose row is
+        the expert id; the expert FFNs then run as two batched matmuls
+        against the pool's weight stacks with the shared activation
+        primitive in between, and a single scatter-add combines the weighted
+        expert outputs.  Rows of experts no pair routes to stay zero and get
+        no gradient.  The hand-written backward mirrors the same batched
+        structure, so the per-expert Python loop disappears from both
+        passes.  Gradients flow to ``hidden`` and the activated experts'
+        weights; router weights get no gradient through the combine
+        (matching the loop implementation, where the routing weights enter
+        as constants).
         """
         x = hidden.data
         tokens, d_model = x.shape
@@ -122,22 +162,21 @@ class ExpertPool(Module):
         # Bucket (token, slot) pairs by expert: pair p lands at
         # (row[p], col[p]) of the (experts, capacity) dispatch grid.
         order = np.argsort(flat_experts, kind="stable")
-        sorted_experts = flat_experts[order]
+        row = flat_experts[order]
         sorted_tokens = pair_tokens[order]
         sorted_weights = flat_weights[order][:, None]
-        active, counts = np.unique(sorted_experts, return_counts=True)
+        counts = np.bincount(row, minlength=self.num_experts)
         capacity = int(counts.max())
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        row = np.repeat(np.arange(len(active)), counts)
-        col = np.arange(sorted_experts.shape[0]) - np.repeat(starts, counts)
+        starts = np.cumsum(counts) - counts
+        col = np.arange(row.shape[0]) - starts[row]
+        active = np.flatnonzero(counts).tolist()
 
-        wi_params = [self.experts[int(e)].ffn.wi.weight for e in active]
-        wo_params = [self.experts[int(e)].ffn.wo.weight for e in active]
-        stacked_wi = np.stack([p.data for p in wi_params])  # (E, d_model, d_ff)
-        stacked_wo = np.stack([p.data for p in wo_params])  # (E, d_ff, d_model)
+        stacked_wi, stacked_wo = self._stacked_weights()
+        wi_params = [self._wi[e] for e in active]
+        wo_params = [self._wo[e] for e in active]
         act_prim = P.RELU if self.experts[0].ffn.activation == "relu" else P.GELU
 
-        dispatch = np.zeros((len(active), capacity, d_model), dtype=x.dtype)
+        dispatch = np.zeros((stacked_wi.shape[0], capacity, d_model), dtype=x.dtype)
         dispatch[row, col] = x[sorted_tokens]
         pre_act = dispatch @ stacked_wi
         activated = act_prim.forward(pre_act)
@@ -160,16 +199,16 @@ class ExpertPool(Module):
             grad_out[row, col] = grad[sorted_tokens] * sorted_weights
             if any(p.requires_grad for p in wo_params):
                 grad_wo = activated.transpose(0, 2, 1) @ grad_out
-                for i, p in enumerate(wo_params):
+                for e, p in zip(active, wo_params):
                     if p.requires_grad:
-                        p._stash(grad_wo[i])
+                        p._stash(grad_wo[e])
             grad_act = grad_out @ stacked_wo.transpose(0, 2, 1)
             (grad_pre,) = act_prim.vjp(grad_act, activated, (pre_act,), (True,), {})
             if any(p.requires_grad for p in wi_params):
                 grad_wi = dispatch.transpose(0, 2, 1) @ grad_pre
-                for i, p in enumerate(wi_params):
+                for e, p in zip(active, wi_params):
                     if p.requires_grad:
-                        p._stash(grad_wi[i])
+                        p._stash(grad_wi[e])
             if hidden.requires_grad:
                 grad_dispatch = grad_pre @ stacked_wi.transpose(0, 2, 1)
                 grad_hidden = np.zeros_like(x)

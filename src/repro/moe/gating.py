@@ -13,7 +13,6 @@ block's experts* the routing decision applies to, not the router mechanics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -22,7 +21,6 @@ from ..tensor import Linear, Module, Tensor
 from ..tensor import functional as F
 
 
-@dataclass
 class RoutingDecision:
     """The outcome of evaluating a gate function on a batch of tokens.
 
@@ -43,13 +41,29 @@ class RoutingDecision:
         GPU memory for the block's execution stage.
     aux_loss:
         Switch-Transformer load-balancing loss for this routing decision.
+        Unless given, it is built from ``router_probs`` on first access (in
+        the grad mode of that access), so inference that never reads it
+        never pays for it.
     """
 
-    expert_indices: np.ndarray
-    expert_weights: np.ndarray
-    router_probs: Tensor
-    activated_experts: List[int]
-    aux_loss: Tensor
+    __slots__ = ("expert_indices", "expert_weights", "router_probs",
+                 "activated_experts", "_aux_loss")
+
+    def __init__(self, expert_indices: np.ndarray, expert_weights: np.ndarray,
+                 router_probs: Tensor, activated_experts: List[int],
+                 aux_loss: Optional[Tensor] = None) -> None:
+        self.expert_indices = expert_indices
+        self.expert_weights = expert_weights
+        self.router_probs = router_probs
+        self.activated_experts = activated_experts
+        self._aux_loss = aux_loss
+
+    @property
+    def aux_loss(self) -> Tensor:
+        if self._aux_loss is None:
+            self._aux_loss = load_balancing_loss(
+                self.router_probs, self.expert_indices, self.router_probs.shape[-1])
+        return self._aux_loss
 
     @property
     def num_tokens(self) -> int:
@@ -144,17 +158,14 @@ class Router(Module):
         logits = self.classifier(inputs)
         probs = F.softmax(logits, axis=-1)
 
-        indices, _ = F.top_k_indices(probs.numpy(), k)
-        selected = np.take_along_axis(probs.numpy(), indices, axis=-1)
+        indices, selected = F.top_k_indices(probs.data, k)
         denom = np.maximum(selected.sum(axis=-1, keepdims=True), 1e-9)
         weights = selected / denom
 
-        activated = sorted(int(e) for e in np.unique(indices))
-        aux = load_balancing_loss(probs, indices, self.num_experts)
+        # The load-balancing loss is left to RoutingDecision.aux_loss.
         return RoutingDecision(
             expert_indices=indices,
             expert_weights=weights,
             router_probs=probs,
-            activated_experts=activated,
-            aux_loss=aux,
+            activated_experts=np.unique(indices).tolist(),
         )

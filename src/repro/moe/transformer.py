@@ -21,10 +21,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..tensor import (
+    DecodeCache,
     Dropout,
     Embedding,
     FeedForward,
-    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -127,15 +127,18 @@ class DecoderBlock(Module):
         hidden: Tensor,
         encoder_hidden: Tensor,
         encoder_padding_mask: Optional[np.ndarray] = None,
-        kv_cache: Optional[KVCache] = None,
+        kv_cache: Optional[DecodeCache] = None,
         top_k: Optional[int] = None,
     ) -> Tuple[Tensor, Optional[RoutingDecision]]:
-        self_out = self.self_attention(self.self_norm(hidden), kv_cache=kv_cache)
+        self_kv = cross_kv = None
+        if kv_cache is not None:
+            self_kv, cross_kv = kv_cache.self_kv, kv_cache.cross_kv
+        self_out = self.self_attention(self.self_norm(hidden), kv_cache=self_kv)
         hidden = hidden + self.dropout(self_out)
 
         cross_out = self.cross_attention(
             self.cross_norm(hidden), key=encoder_hidden, value=encoder_hidden,
-            key_padding_mask=encoder_padding_mask,
+            key_padding_mask=encoder_padding_mask, kv_cache=cross_kv,
         )
         hidden = hidden + self.dropout(cross_out)
 
@@ -226,7 +229,7 @@ class SwitchTransformer(Module):
 
     def decode(self, decoder_ids: np.ndarray, encoder_hidden: Tensor,
                encoder_padding_mask: Optional[np.ndarray] = None,
-               kv_caches: Optional[List[KVCache]] = None,
+               kv_caches: Optional[List[DecodeCache]] = None,
                trace: Optional[List[RoutingTraceEntry]] = None,
                top_k: Optional[int] = None) -> Tensor:
         hidden = self.embedding(decoder_ids)
@@ -287,7 +290,11 @@ class SwitchTransformer(Module):
             if collect_trace and encoder_trace:
                 traces.append(encoder_trace)
 
-            kv_caches = [KVCache() for _ in range(self.config.num_decoder_layers)]
+            # Per-layer decode state: the self-attention K/V grows a token
+            # per step; the cross-attention K/V over the (fixed) encoder
+            # output is projected on the first step only.  Built per call,
+            # so nothing carries over to the next decode.
+            kv_caches = [DecodeCache() for _ in range(self.config.num_decoder_layers)]
             # Preallocated output buffer: the whole batch decodes in one
             # tensor step per token, with no per-token reallocation.
             generated = np.full((batch, max_new_tokens + 1), eos_id, dtype=np.int64)

@@ -29,7 +29,7 @@ from .precision import (
     current_precision_name,
     use_precision,
 )
-from .attention import FeedForward, KVCache, MultiHeadAttention
+from .attention import CrossKVCache, DecodeCache, FeedForward, KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, ConstantLR, WarmupInverseSqrtLR, clip_grad_norm
@@ -50,6 +50,8 @@ __all__ = [
     "current_precision",
     "current_precision_name",
     "use_precision",
+    "CrossKVCache",
+    "DecodeCache",
     "FeedForward",
     "KVCache",
     "MultiHeadAttention",

@@ -309,8 +309,11 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = tuple(int(i) for i in np.argsort(axes))
-        return _dispatch(P.TRANSPOSE, (self,), {"axes": axes, "inverse": inverse})
+        ndim = len(axes)
+        inverse = [0] * ndim
+        for position, axis in enumerate(axes):
+            inverse[axis % ndim] = position
+        return _dispatch(P.TRANSPOSE, (self,), {"axes": axes, "inverse": tuple(inverse)})
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -400,9 +403,9 @@ def _dispatch(prim: P.Primitive, parents: Tuple[Tensor, ...],
     """Execute ``prim`` on ``parents`` and wrap the result as a graph node."""
     out = Tensor.__new__(Tensor)
     if params is None:
-        out._data = prim.forward(*[p.data for p in parents])
+        out._data = prim.forward(*[p._data for p in parents])
     else:
-        out._data = prim.forward(*[p.data for p in parents], **params)
+        out._data = prim.forward(*[p._data for p in parents], **params)
     out.grad = None
     out._backward = None
     out.name = ""

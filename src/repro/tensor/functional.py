@@ -92,6 +92,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     k = min(k, scores.shape[-1])
     part = np.argpartition(-scores, k - 1, axis=-1)[..., :k]
     part_scores = np.take_along_axis(scores, part, axis=-1)
+    if k == 1:
+        return part, part_scores  # a single entry is already sorted
     order = np.argsort(-part_scores, axis=-1)
     idx = np.take_along_axis(part, order, axis=-1)
     vals = np.take_along_axis(part_scores, order, axis=-1)

@@ -426,6 +426,14 @@ def _reduce_acc(dtype: np.dtype) -> np.dtype:
     return rdt if np.dtype(dtype).itemsize < rdt.itemsize else np.dtype(dtype)
 
 
+def _mean_last(x: np.ndarray, acc: np.dtype) -> np.ndarray:
+    """``np.mean(x, axis=-1, keepdims=True, dtype=acc)`` without its Python
+    wrapper: the same ``acc``-dtype sum divided in place by the count."""
+    total = np.add.reduce(x, axis=-1, keepdims=True, dtype=acc)
+    total /= x.shape[-1]
+    return total
+
+
 def _layer_norm_forward(x, scale, shift, eps=1e-6, _saved=None):
     # Mean/variance sums accumulate in the policy's reduction dtype via the
     # reductions' ``dtype=`` accumulator; the normalisation arithmetic stays
@@ -435,9 +443,9 @@ def _layer_norm_forward(x, scale, shift, eps=1e-6, _saved=None):
     # cast below is a no-op and the kernel is bit-identical to the
     # historical engine.
     acc = _reduce_acc(x.dtype)
-    mean = x.mean(axis=-1, keepdims=True, dtype=acc)
+    mean = _mean_last(x, acc)
     centered = x - mean.astype(x.dtype, copy=False)
-    var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=acc)
+    var = _mean_last(centered * centered, acc)
     inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
     centered *= inv_std
     if _saved is not None:
@@ -454,10 +462,8 @@ def _layer_norm_vjp(grad, out, inputs, needs, params):
     grad_x = grad_scale = grad_shift = None
     if needs[0]:
         g = grad * scale
-        gm = g.mean(axis=-1, keepdims=True, dtype=acc).astype(g.dtype,
-                                                             copy=False)
-        gxm = np.mean(g * xhat, axis=-1, keepdims=True,
-                      dtype=acc).astype(g.dtype, copy=False)
+        gm = _mean_last(g, acc).astype(g.dtype, copy=False)
+        gxm = _mean_last(g * xhat, acc).astype(g.dtype, copy=False)
         grad_x = (g - gm - xhat * gxm) * inv_std
     reduce_axes = tuple(range(grad.ndim - 1))
     if needs[1]:

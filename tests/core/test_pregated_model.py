@@ -8,6 +8,9 @@ from repro.moe import SwitchTransformer, get_config
 from repro.tensor import Adam
 from repro.tensor import functional as F
 
+from ..moe.decode_checks import (check_cached_steps_match_uncached,
+                                 check_no_leak_across_calls, padded_prompts)
+
 
 @pytest.fixture(scope="module")
 def config():
@@ -181,3 +184,13 @@ class TestGeneration:
             assert np.array_equal(generated[live, t], expected[live])
             assert (generated[finished, t] == 2).all()
             finished |= generated[:, t] == 2
+
+    def test_cached_cross_attention_is_bit_identical(self, pregated, config, rng):
+        """Per-decode cross-attention K/V change no logit, token or trace."""
+        src, pad = padded_prompts(rng, config.vocab_size, batch=3, length=6)
+        check_cached_steps_match_uncached(pregated, src, pad)
+
+    def test_nothing_leaks_into_the_next_decode(self, config, rng):
+        check_no_leak_across_calls(PreGatedSwitchTransformer(config, seed=3),
+                                   PreGatedSwitchTransformer(config, seed=3),
+                                   rng, config.vocab_size)

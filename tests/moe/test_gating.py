@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.moe.gating import Router, load_balancing_loss
+from repro.core import PreGatedSwitchTransformer
+from repro.moe import SwitchTransformer, get_config
+from repro.moe import gating
+from repro.moe.gating import Router, RoutingDecision, load_balancing_loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -122,3 +125,76 @@ class TestLoadBalancingLoss:
         indices = probs.argmax(axis=-1)[:, None]
         loss = load_balancing_loss(Tensor(probs), indices, num_experts)
         assert loss.item() >= 0.99
+
+
+class TestLazyAuxLoss:
+    """``RoutingDecision.aux_loss`` is built on first access, not by the router."""
+
+    MODELS = [SwitchTransformer, PreGatedSwitchTransformer]
+
+    @staticmethod
+    def _batch(config):
+        rng = np.random.default_rng(4)
+        src = rng.integers(4, config.vocab_size, (3, 6))
+        tgt = rng.integers(4, config.vocab_size, (3, 5))
+        return src, tgt
+
+    @staticmethod
+    def _gate_grads(model):
+        grads = {name: p.grad.copy() for name, p in model.named_parameters()
+                 if "gate" in name and p.grad is not None}
+        model.zero_grad()
+        return grads
+
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_forward_aux_equals_eager_loss(self, model_cls):
+        config = get_config("tiny_moe_4")
+        model = model_cls(config, seed=0)
+        src, tgt = self._batch(config)
+
+        lazy = model(src, tgt).aux_loss
+        lazy.backward()
+        lazy_grads = self._gate_grads(model)
+
+        # The same forward again, with the loss built eagerly from its decisions.
+        trace = model(src, tgt).routing_trace
+        eager = Tensor(0.0)
+        for entry in trace:
+            decision = entry.decision
+            eager = eager + load_balancing_loss(decision.router_probs, decision.expert_indices,
+                                                config.num_experts)
+        eager = eager * (1.0 / len(trace))
+        eager.backward()
+        eager_grads = self._gate_grads(model)
+
+        assert lazy.item() == eager.item()
+        assert lazy_grads and lazy_grads.keys() == eager_grads.keys()
+        for name, grad in lazy_grads.items():
+            assert np.array_equal(grad, eager_grads[name]), name
+
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_greedy_decode_never_builds_it(self, model_cls, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return load_balancing_loss(*args, **kwargs)
+
+        monkeypatch.setattr(gating, "load_balancing_loss", counting)
+        config = get_config("tiny_moe_4")
+        model = model_cls(config, seed=0)
+        src, tgt = self._batch(config)
+        model.greedy_decode(src, bos_id=1, eos_id=-1, max_new_tokens=3, collect_trace=True)
+        assert calls == []
+        # The counter does see the training forward's accesses.
+        trace = model(src, tgt).routing_trace
+        assert len(calls) == len(trace) > 0
+
+    def test_explicit_aux_loss_is_kept(self):
+        given_loss = Tensor(0.0)
+        decision = RoutingDecision(
+            expert_indices=np.zeros((2, 1), dtype=np.int64),
+            expert_weights=np.ones((2, 1)),
+            router_probs=Tensor(np.full((2, 4), 0.25)),
+            activated_experts=[0], aux_loss=given_loss)
+        assert decision.aux_loss is given_loss

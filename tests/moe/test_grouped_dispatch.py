@@ -7,16 +7,25 @@ per-unique-expert Python loop) kept as the behavioural oracle.  These
 tests drive both through random routings — including capacity-dropped
 pairs (expert id ``-1``) and ``top_k > 1`` — and require identical outputs
 and identical gradients on the hidden states and every expert weight.
+
+The pool keeps every expert's weights in one stack per layer, with each
+expert's ``Parameter`` a view into it.  The aliasing tests rebind or copy
+the weights every way the engine allows and require the grouped dispatch to
+keep matching the loop (which reads the parameters directly), so a stale
+stack can never be used.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.moe.expert import ExpertPool
 from repro.moe.gating import RoutingDecision
-from repro.tensor import Tensor
+from repro.tensor import SGD, Adam, Tensor
 
 BUDGET = 1e-9
 
@@ -127,3 +136,81 @@ def test_grouped_rejects_token_mismatch():
     routing = random_routing(rng, tokens=6, num_experts=2, k=1)
     with pytest.raises(ValueError):
         pool(Tensor(rng.standard_normal((5, 4))), routing)
+
+
+# ----------------------------------------------------------------------
+# Stacked weights: every rebinding of a parameter's array is seen
+# ----------------------------------------------------------------------
+def make_pool():
+    return ExpertPool(num_experts=4, d_model=6, d_ff=8,
+                      rng=np.random.default_rng(7))
+
+
+def check_against_loop(pool, seed=0):
+    rng = np.random.default_rng(seed)
+    hidden = rng.standard_normal((10, 6))
+    routing = random_routing(rng, tokens=10, num_experts=4, k=2)
+    assert_equivalent(pool, hidden, routing)
+
+
+def grouped_output(pool, seed=0):
+    rng = np.random.default_rng(seed)
+    hidden = Tensor(rng.standard_normal((10, 6)), requires_grad=True)
+    out = pool(hidden, random_routing(rng, tokens=10, num_experts=4, k=2))
+    return out
+
+
+def test_load_state_dict_is_seen():
+    pool = make_pool()
+    check_against_loop(pool)
+    rng = np.random.default_rng(1)
+    pool.load_state_dict({name: value + rng.standard_normal(value.shape)
+                          for name, value in pool.state_dict().items()})
+    check_against_loop(pool)
+
+
+def test_sgd_step_is_seen():
+    pool = make_pool()
+    out = grouped_output(pool)
+    (out * out).sum().backward()
+    SGD(pool.parameters(), lr=0.5).step()  # rebinds param.data
+    pool.zero_grad()
+    check_against_loop(pool)
+
+
+def test_direct_data_assignment_is_seen():
+    pool = make_pool()
+    check_against_loop(pool)
+    for param in (pool[2].ffn.wo.weight, pool[0].ffn.wi.weight):
+        param.data = param.data * -3.0
+    check_against_loop(pool)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy,
+    lambda pool: pickle.loads(pickle.dumps(pool)),
+], ids=["deepcopy", "pickle"])
+def test_copied_pool_runs_on_its_own_weights(clone):
+    pool = make_pool()
+    before = grouped_output(pool).data.copy()
+    copied = clone(pool)
+    for param in copied.parameters():
+        param.data *= -2.0  # in place, on the copy's arrays only
+    check_against_loop(copied)
+    assert not np.allclose(grouped_output(copied).data, before)
+    np.testing.assert_array_equal(grouped_output(pool).data, before)
+    check_against_loop(pool)
+
+
+def test_adam_step_updates_the_stacks_in_place():
+    pool = make_pool()
+    stacks = list(pool._stacked_weights())
+    before = grouped_output(pool)
+    (before * before).sum().backward()
+    Adam(pool.parameters(), lr=0.1).step()
+    pool.zero_grad()
+    after = grouped_output(pool)
+    assert not np.allclose(after.data, before.data)
+    check_against_loop(pool)
+    # Adam writes through the views: no re-stack was needed.
+    assert all(a is b for a, b in zip(pool._stacked_weights(), stacks))

@@ -8,6 +8,9 @@ from repro.moe.transformer import _moe_layer_positions
 from repro.tensor import functional as F
 from repro.tensor import Adam
 
+from .decode_checks import (check_cached_steps_match_uncached, check_no_leak_across_calls,
+                            padded_prompts)
+
 
 @pytest.fixture(scope="module")
 def tiny_moe_model():
@@ -163,6 +166,16 @@ class TestGeneration:
             assert np.array_equal(generated[live, t], expected[live])
             assert (generated[finished, t] == 2).all()
             finished |= generated[:, t] == 2
+
+    def test_cached_cross_attention_is_bit_identical(self, tiny_moe_model, rng):
+        """Per-decode cross-attention K/V change no logit, token or trace."""
+        src, pad = padded_prompts(rng, tiny_moe_model.config.vocab_size, batch=3, length=6)
+        check_cached_steps_match_uncached(tiny_moe_model, src, pad)
+
+    def test_nothing_leaks_into_the_next_decode(self, rng):
+        cfg = get_config("tiny_moe_4")
+        check_no_leak_across_calls(SwitchTransformer(cfg, seed=3),
+                                   SwitchTransformer(cfg, seed=3), rng, cfg.vocab_size)
 
 
 class TestParameterAccounting:

@@ -1,4 +1,5 @@
-"""KVCache preallocation: amortised append, capacity doubling, slice views.
+"""KVCache preallocation: amortised append, capacity doubling, slice views,
+and append's shape checks (no silent broadcasting into the cache).
 
 The seed implementation re-``np.concatenate``d the whole cache on every
 appended token (O(T²) over a T-token decode); the preallocated cache grows
@@ -8,6 +9,7 @@ by capacity doubling and exposes zero-copy views of the filled prefix.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.tensor.attention import KVCache
 
@@ -69,3 +71,49 @@ def test_constructor_seeds_from_initial_tensors():
     assert cache.length == 5
     np.testing.assert_array_equal(cache.keys, keys)
     np.testing.assert_array_equal(cache.values, values)
+
+
+def test_append_rejects_batch_mismatch_without_broadcasting():
+    cache = KVCache()
+    rng = np.random.default_rng(2)
+    keys = rng.standard_normal((4, 2, 8))
+    cache.append(keys, keys)
+    # numpy would broadcast one row into all four batch slots.
+    with pytest.raises(ValueError, match="batch"):
+        cache.append(np.ones((1, 1, 8)), np.ones((1, 1, 8)))
+    assert cache.length == 2
+    np.testing.assert_array_equal(cache.keys, keys)
+
+
+def test_append_rejects_dim_mismatch():
+    cache = KVCache(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)))
+    with pytest.raises(ValueError, match="dim"):
+        cache.append(np.ones((2, 1, 4)), np.ones((2, 1, 4)))
+    assert cache.length == 1
+
+
+@pytest.mark.parametrize("value_shape", [(1, 3, 8), (2, 1, 8), (2, 3, 1)])
+def test_append_rejects_values_shaped_unlike_keys(value_shape):
+    cache = KVCache()
+    keys = np.ones((2, 3, 8))
+    # Each of these values arrays would broadcast into the keys' shape.
+    with pytest.raises(ValueError, match="values"):
+        cache.append(keys, np.ones(value_shape))
+    assert cache.length == 0 and cache.keys is None
+    cache.append(keys, keys)
+    with pytest.raises(ValueError, match="values"):
+        cache.append(keys, np.ones(value_shape))
+    assert cache.length == 3
+    np.testing.assert_array_equal(cache.values, keys)
+
+
+def test_split_heads_are_views_of_the_filled_prefix():
+    rng = np.random.default_rng(3)
+    keys = rng.standard_normal((2, 3, 8))
+    values = rng.standard_normal((2, 3, 8))
+    cache = KVCache(keys, values)
+    k, v = cache.split_heads(num_heads=2)
+    assert k.shape == v.shape == (2, 2, 3, 4)
+    assert k.base is cache._keys and v.base is cache._values
+    np.testing.assert_array_equal(k, keys.reshape(2, 3, 2, 4).transpose(0, 2, 1, 3))
+    np.testing.assert_array_equal(v, values.reshape(2, 3, 2, 4).transpose(0, 2, 1, 3))
