@@ -12,7 +12,7 @@ from conftest import ENGINE_CONFIG, emit
 from repro.analysis import FigureReport
 from repro.moe import get_config
 from repro.serving import DESIGN_LABELS, make_engine
-from repro.system import ExpertCache, cache_capacity_from_fraction
+from repro.system import cache_capacity_from_fraction
 from repro.workloads import TraceGenerator, WorkloadSpec
 
 CONFIG = get_config("switch_large_128")
@@ -25,8 +25,9 @@ WORKLOAD = WorkloadSpec(name="fig15_hot_experts", num_requests=2, input_length=8
                         output_length=12, routing_skew=1.5, seed=0)
 
 
-def _throughput(design, cache):
-    engine = make_engine(design, CONFIG, cache=cache, engine_config=ENGINE_CONFIG)
+def _throughput(design, policy=None, capacity=None):
+    engine = make_engine(design, CONFIG, cache_policy=policy,
+                         cache_capacity=capacity, engine_config=ENGINE_CONFIG)
     generator = TraceGenerator(CONFIG, skew=WORKLOAD.routing_skew, seed=WORKLOAD.seed)
     traces = generator.workload(WORKLOAD.num_requests, WORKLOAD.input_length,
                                 WORKLOAD.output_length)
@@ -36,13 +37,13 @@ def _throughput(design, cache):
 def run_caching_study():
     results = {}
     for design in DESIGNS:
-        results[(design, "w/o cache", 0.0)] = _throughput(design, None)
+        results[(design, "w/o cache", 0.0)] = _throughput(design)
         for policy in POLICIES:
             for fraction in FRACTIONS:
                 capacity = cache_capacity_from_fraction(
                     CONFIG.num_moe_blocks("all"), CONFIG.num_experts, fraction)
-                cache = ExpertCache(capacity_experts=capacity, policy=policy)
-                results[(design, policy, fraction)] = _throughput(design, cache)
+                results[(design, policy, fraction)] = _throughput(
+                    design, policy, capacity)
     return results
 
 

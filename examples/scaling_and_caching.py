@@ -24,7 +24,7 @@ Run with:  python examples/scaling_and_caching.py
 from repro.analysis import format_table
 from repro.moe import get_config
 from repro.serving import DESIGN_LABELS, compare_designs, make_engine, make_scheduler
-from repro.system import ExpertCache, SSD_SYSTEM, cache_capacity_from_fraction
+from repro.system import SSD_SYSTEM, cache_capacity_from_fraction
 from repro.workloads import TimedRequest, TraceGenerator
 
 
@@ -62,8 +62,8 @@ def expert_caching() -> None:
         for policy in ("lifo", "lfu", "lru"):
             capacity = cache_capacity_from_fraction(config.num_moe_blocks("all"),
                                                     config.num_experts, 0.20)
-            cache = ExpertCache(capacity_experts=capacity, policy=policy)
-            tput = make_engine(design, config, cache=cache).run_workload(traces) \
+            tput = make_engine(design, config, cache_policy=policy,
+                               cache_capacity=capacity).run_workload(traces) \
                 .aggregate_tokens_per_second
             rows.append([DESIGN_LABELS[design], f"{policy.upper()} @ 20%",
                          f"{tput:.2f}", f"{tput / baseline:.2f}x"])

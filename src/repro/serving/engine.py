@@ -21,10 +21,11 @@ The engine itself is the *request-lifecycle* layer of the serving stack: it
 composes a :class:`~repro.serving.placement.ModelPlacement` (parameter
 storage policy) with an :class:`~repro.serving.simulator.IterationSimulator`
 (per-iteration op emission) and runs requests end-to-end, one at a time:
-each pass is emitted as one op batch, committed to the timeline, and its
-per-block latencies are read back from the committed start/end times.  The
-continuous-batching path that interleaves many in-flight requests lives in
-:mod:`repro.serving.scheduler`, built from the same two layers.
+each pass is a one-member round of the scheduler's round protocol (so it
+caches through the same :class:`~repro.system.residency.ExpertResidency`),
+emitted as one op batch and committed to the timeline, and its per-block
+latencies are read back from the committed start/end times.  The
+continuous-batching path lives in :mod:`repro.serving.scheduler`.
 
 The engines consume expert-activation traces
 (:class:`~repro.workloads.traces.RequestTrace`) and emit the same metrics
@@ -35,19 +36,19 @@ in tokens/second and peak GPU memory usage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..moe.configs import ModelConfig, get_config
-from ..system.cache import ExpertCache
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import ArrayTimeline, OpBatch
+from ..system.timeline import ArrayTimeline
 from ..workloads.traces import IterationActivations, RequestTrace
 from .metrics import (BlockLatencyRecord, IterationResult, RequestResult,
                       WorkloadResult)
 from .placement import DEFAULT_RUNTIME_WORKSPACE_BYTES, ModelPlacement
-from .simulator import EmittedPass, IterationSimulator
+from .prefetch import CrossRequestPrefetcher
+from .simulator import IterationSimulator, SharedExpertRound
 
 
 @dataclass
@@ -72,7 +73,6 @@ class ServingEngine:
 
     def __init__(self, config: "ModelConfig | str", system: SystemSpec = PAPER_SYSTEM,
                  latency_model: Optional[GpuLatencyModel] = None,
-                 cache: Optional[ExpertCache] = None,
                  engine_config: Optional[EngineConfig] = None,
                  cache_policy: Optional[str] = None,
                  cache_capacity: Optional[int] = None,
@@ -82,14 +82,6 @@ class ServingEngine:
                  shard_policy: str = "contiguous",
                  expert_weights: Optional[Sequence[float]] = None,
                  interconnect: Optional[LinkSpec] = None) -> None:
-        if cache is not None and (cache_policy is not None or cache_capacity is not None):
-            raise ValueError(
-                "pass either an ExpertCache or cache_policy/cache_capacity, not both")
-        if cache_policy is not None and cache_capacity is None:
-            raise ValueError("cache_policy requires cache_capacity")
-        if cache is None and cache_capacity is not None:
-            cache = ExpertCache(capacity_experts=cache_capacity,
-                                policy=cache_policy or "lru")
         if num_gpus is not None or interconnect is not None:
             system = system.with_num_gpus(
                 num_gpus if num_gpus is not None else system.num_gpus,
@@ -97,14 +89,17 @@ class ServingEngine:
         self.config = get_config(config) if isinstance(config, str) else config
         self.system = system
         self.latency = latency_model or GpuLatencyModel(system.gpu)
-        self.cache = cache
         self.engine_config = engine_config or EngineConfig()
         self.placement = ModelPlacement(
-            self.config, system, offload_experts=self.offloads_experts, cache=cache,
+            self.config, system, offload_experts=self.offloads_experts,
+            cache_policy=cache_policy, cache_capacity=cache_capacity,
             stage_policy=stage_policy, stage_capacity=stage_capacity,
             shard_policy=shard_policy, expert_weights=expert_weights,
             runtime_workspace_bytes=self.engine_config.runtime_workspace_bytes,
             allow_oversubscription=self.engine_config.allow_oversubscription)
+        self.residency = self.placement.residency
+        self.prefetcher = (CrossRequestPrefetcher(self.residency)
+                           if self.residency is not None else None)
         self.simulator = IterationSimulator(
             self.config, system, self.latency, self.design, self.placement,
             activation_level=self.engine_config.activation_level)
@@ -147,11 +142,12 @@ class ServingEngine:
 
     def _run_pass(self, part: str, iteration: int,
                   timeline: Optional[ArrayTimeline],
-                  emit: Callable[[OpBatch, List[int]], EmittedPass]
-                  ) -> IterationResult:
-        """Emit one pass as an op batch, commit it and read back latencies.
+                  activations: IterationActivations, **shape) -> IterationResult:
+        """Run one pass as a one-member round, commit it and read back latencies.
 
-        ``emit(batch, extra_deps)`` appends the pass's ops to ``batch``.
+        ``shape`` holds the token counts of the part's ``emit_*`` call.  The
+        plan is registered before any op is emitted, as in the scheduler, so
+        a cache keeps the residents it relies on pinned through the pass.
 
         A block's latency runs from the end of its input (the preceding
         non-MoE op) to the end of the op completing the block; its exposed
@@ -162,8 +158,22 @@ class ServingEngine:
         self.load_model()
         timeline = timeline if timeline is not None else ArrayTimeline()
         start = timeline.makespan
+        if part == "decoder":
+            emit = self.simulator.emit_decoder_iteration
+            shape["iteration"] = iteration
+        else:
+            emit = self.simulator.emit_encoder_pass
+        batch_round = (self.prefetcher.begin_round()
+                       if self.prefetcher is not None else SharedExpertRound())
+        plan = self.simulator.make_plan(part, activations)
+        batch_round.register_plan(self.placement, part, plan, activations)
         batch = timeline.begin_batch()
-        emitted = emit(batch, self._consume_carry(timeline))
+        try:
+            emitted = emit(batch, activations, batch_round=batch_round,
+                           plan=plan, extra_deps=self._consume_carry(timeline),
+                           **shape)
+        finally:
+            batch_round.drain(self.placement)
         starts, ends = timeline.commit_batch(batch)
         self._carry = (timeline, list(emitted.carry_deps))
         starts, ends = starts.tolist(), ends.tolist()
@@ -193,21 +203,16 @@ class ServingEngine:
                               timeline: Optional[ArrayTimeline] = None,
                               iteration: int = 0) -> IterationResult:
         """Simulate a single decoder iteration (all decoder layers, one token)."""
-        return self._run_pass(
-            "decoder", iteration, timeline,
-            lambda batch, carry: self.simulator.emit_decoder_iteration(
-                batch, activations, query_tokens=query_tokens,
-                self_kv_tokens=self_kv_tokens,
-                cross_kv_tokens=cross_kv_tokens, iteration=iteration,
-                extra_deps=carry))
+        return self._run_pass("decoder", iteration, timeline, activations,
+                              query_tokens=query_tokens,
+                              self_kv_tokens=self_kv_tokens,
+                              cross_kv_tokens=cross_kv_tokens)
 
     def run_encoder_pass(self, activations: IterationActivations, input_tokens: int,
                          timeline: Optional[ArrayTimeline] = None) -> IterationResult:
         """Simulate the encoder pass over ``input_tokens`` tokens."""
-        return self._run_pass(
-            "encoder", 0, timeline,
-            lambda batch, carry: self.simulator.emit_encoder_pass(
-                batch, activations, input_tokens, extra_deps=carry))
+        return self._run_pass("encoder", 0, timeline, activations,
+                              input_tokens=input_tokens)
 
     def run_request(self, trace: RequestTrace) -> RequestResult:
         """Serve one request end-to-end: encoder pass + all decoder iterations."""
@@ -301,7 +306,6 @@ DESIGN_LABELS = {
 
 
 def make_engine(design: str, config: "ModelConfig | str", system: SystemSpec = PAPER_SYSTEM,
-                cache: Optional[ExpertCache] = None,
                 engine_config: Optional[EngineConfig] = None,
                 cache_policy: Optional[str] = None,
                 cache_capacity: Optional[int] = None,
@@ -313,16 +317,16 @@ def make_engine(design: str, config: "ModelConfig | str", system: SystemSpec = P
                 interconnect: Optional[LinkSpec] = None) -> ServingEngine:
     """Factory for engines by design name.
 
-    ``cache_policy``/``cache_capacity`` construct the per-request
-    :class:`~repro.system.cache.ExpertCache` so callers can enable Figure 15
-    caching without building the cache object by hand;
+    ``cache_policy``/``cache_capacity`` give the placement a GPU
+    :class:`~repro.system.residency.ExpertResidency` map (Figure 15
+    caching, the same map the scheduler caches through);
     ``stage_policy``/``stage_capacity`` enable the host-DRAM staging cache
     for SSD-offload systems (Figure 16's tier); ``num_gpus``/``shard_policy``
     shard the expert pool across an expert-parallel multi-GPU replica.
     """
     if design not in _ENGINES:
         raise ValueError(f"unknown design {design!r}; known: {sorted(_ENGINES)}")
-    return _ENGINES[design](config, system=system, cache=cache,
+    return _ENGINES[design](config, system=system,
                             engine_config=engine_config,
                             cache_policy=cache_policy,
                             cache_capacity=cache_capacity,

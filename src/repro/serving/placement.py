@@ -27,7 +27,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from ..core.migration import ExpertTransfer
 from ..moe.configs import ModelConfig
 from ..moe.transformer import _moe_layer_positions
-from ..system.cache import ExpertCache
 from ..system.hardware import DeviceTopology, SystemSpec
 from ..system.memory import MemoryPool, TieredMemory
 from ..system.residency import ExpertResidency, ResidencyStats
@@ -236,17 +235,14 @@ class ShardedPlacement:
     offload_experts:
         Whether expert parameters live in the offload tier (all designs
         except GPU-only).
-    cache:
-        Optional per-request GPU expert cache (the single-request engine's
-        Figure 15 path).  Mutually exclusive with the residency knobs.
     cache_policy / cache_capacity:
         When ``cache_capacity`` is not ``None`` (0 is a valid, cache-nothing
         value used by the parity tests) and the design offloads experts, the
         placement owns a shared refcounted
         :class:`~repro.system.residency.ExpertResidency` map charged against
-        its GPU pool(s) — the multi-request caching substrate the continuous-
-        batching scheduler builds on.  With several devices the capacity is
-        split evenly across the shards (each rank caches its own experts).
+        its GPU pool(s) — the one GPU expert cache (Figure 15), for engine
+        and scheduler alike.  With several devices the capacity is split
+        evenly across the shards (each rank caches its own experts).
     stage_policy / stage_capacity:
         Second-level cache for SSD offload: when ``stage_capacity`` is not
         ``None`` and the system's offload tier is ``"ssd"``, each shard owns
@@ -269,7 +265,6 @@ class ShardedPlacement:
 
     def __init__(self, config: ModelConfig, system: SystemSpec,
                  offload_experts: bool,
-                 cache: Optional[ExpertCache] = None,
                  cache_policy: Optional[str] = None,
                  cache_capacity: Optional[int] = None,
                  stage_policy: Optional[str] = None,
@@ -278,10 +273,6 @@ class ShardedPlacement:
                  expert_weights: Optional[Sequence[float]] = None,
                  runtime_workspace_bytes: int = DEFAULT_RUNTIME_WORKSPACE_BYTES,
                  allow_oversubscription: bool = False) -> None:
-        if cache is not None and cache_capacity is not None:
-            raise ValueError(
-                "pass either a per-request ExpertCache or the shared "
-                "cache_policy/cache_capacity knobs, not both")
         if cache_policy is not None and cache_capacity is None:
             raise ValueError(
                 "cache_policy requires cache_capacity (0 disables retention "
@@ -298,7 +289,6 @@ class ShardedPlacement:
         self.system = system
         self.topology: DeviceTopology = system.device_topology
         self.offload_experts = offload_experts
-        self.cache = cache
         self.runtime_workspace_bytes = runtime_workspace_bytes
         self.allow_oversubscription = allow_oversubscription
         num_devices = self.topology.num_devices
@@ -705,42 +695,15 @@ class ShardedPlacement:
     # Transient expert allocations
     # ------------------------------------------------------------------
     def cache_resident(self, part: str, num_blocks: int) -> List[Set[int]]:
-        """Per-block sets of experts already resident in GPU memory.
-
-        Consults the shared residency map when this placement has one (the
-        continuous-batching path), otherwise the per-request expert cache —
-        resident experts are excluded from migration plans.
-        """
-        if self.residency is not None:
-            provider = self.residency.resident_for_block
-        elif self.cache is not None and self.cache.enabled:
-            provider = self.cache.resident_for_block
-        else:
-            return [set() for _ in range(num_blocks)]
+        """Per-block sets of experts resident in the GPU residency map
+        (the placement must have one) — excluded from migration plans."""
+        provider = self.residency.resident_for_block
         return [set(provider(self.global_block_index(part, block)))
                 for block in range(num_blocks)]
 
-    def allocate_expert(self, part: str, block_index: int, expert_id: int) -> str:
-        """Reserve GPU memory for one migrated expert; returns the allocation tag.
-
-        The bytes land in the owning shard's pool.
-        """
-        gb = self.global_block_index(part, block_index)
-        pool = self.shard_for(expert_id).pool
-        if self.cache is not None and self.cache.enabled:
-            tag = f"cached_expert:{gb}:{expert_id}"
-            if pool.has(tag):
-                return tag
-        else:
-            self._expert_seq += 1
-            tag = f"expert:{gb}:{expert_id}:{self._expert_seq}"
-        pool.allocate(tag, self.config.expert_bytes(), category="experts",
-                      allow_oversubscribe=self.allow_oversubscription)
-        return tag
-
     def allocate_shared_expert(self, part: str, block_index: int,
                                expert_id: int) -> Hashable:
-        """Reserve a batch-shared expert slot (continuous-batching dedup path).
+        """Reserve a round-shared expert slot (the uncached fetch path).
 
         The sharing itself is tracked by the caller's
         :class:`~repro.serving.simulator.SharedExpertRound` refcount map,
@@ -763,28 +726,6 @@ class ShardedPlacement:
             if shard.pool.has(tag):
                 shard.pool.free(tag)
                 return
-
-    def release_block_experts(self, part: str, block_index: int,
-                              fetched_tags: Sequence[str], activated: Sequence[int]) -> None:
-        """Free (or cache) the experts of a block after its execution."""
-        gb = self.global_block_index(part, block_index)
-        if self.cache is not None and self.cache.enabled:
-            for expert_id in activated:
-                self.cache.lookup((gb, expert_id))  # record the access for the policy
-                evicted = self.cache.insert((gb, expert_id))
-                if evicted is not None:
-                    evicted_tag = f"cached_expert:{evicted[0]}:{evicted[1]}"
-                    self.free_expert(evicted_tag)
-            # Fetched experts the cache did not keep (prefetch_all fetches
-            # unactivated ones) are transient, like uncached fetches.
-            kept = {f"cached_expert:{gb}:{expert_id}"
-                    for expert_id in self.cache.resident_for_block(gb)}
-            for tag in fetched_tags:
-                if tag not in kept:
-                    self.free_expert(tag)
-            return
-        for tag in fetched_tags:
-            self.free_expert(tag)
 
 
 #: The historical name of the placement layer — a single-GPU replica is just

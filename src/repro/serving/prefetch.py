@@ -28,7 +28,8 @@ Both implement the round protocol the
 (``register_plan`` / ``is_fetched`` / ``copy_op`` / ``fetch`` / ``release_keys``
 / ``release`` / ``drain``), so the simulation core is identical either way —
 with a zero-capacity residency map the timelines are bit-identical to the
-uncached scheduler, which the parity tests pin to 1e-9.
+uncached scheduler, which the parity tests pin to 1e-9.  The one-request
+engine runs each pass as a one-member round of the same kind.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class PrefetchRound:
 
 
 class CrossRequestPrefetcher:
-    """Round factory tying the scheduler to one shared residency map.
+    """Round factory tying a scheduler or engine to one shared residency map.
 
     One prefetcher per replica: it owns no transfer state itself (that lives
     in the per-round :class:`PrefetchRound` handles and the residency map),

@@ -13,11 +13,13 @@ across calls so that a request scheduler can interleave iterations from
 path, :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
 batched path).
 
-Batched rounds pass a :class:`SharedExpertRound`, which deduplicates expert
-transfers across the requests of the round: when concurrent requests activate
-the same expert of the same block, only the first request issues the
-CPU→GPU migration and later requests execute against the already-resident
-copy (their execution depends on the original copy op).
+Every pass belongs to a round (a :class:`SharedExpertRound`, or with a cache
+a :class:`~repro.serving.prefetch.PrefetchRound`), which owns the slots of
+fetched experts and deduplicates transfers across its members: when
+concurrent requests activate the same expert of the same block, only the
+first request issues the CPU→GPU migration and later requests execute
+against the already-resident copy (their execution depends on the original
+copy op).
 
 Expert-parallel replicas (a multi-device
 :class:`~repro.system.hardware.DeviceTopology`) additionally split every MoE
@@ -43,6 +45,7 @@ from ..system.performance import GpuLatencyModel
 from ..system.timeline import STREAM_CODE, OpBatch, Stream, category_code
 from ..workloads.traces import IterationActivations
 from .placement import ModelPlacement
+from .prefetch import PrefetchRound
 
 #: Key identifying one migratable expert: (global block index, expert id).
 ExpertKey = Tuple[int, int]
@@ -206,7 +209,7 @@ class IterationSimulator:
         #: Bytes one token's activations occupy on the interconnect (fp16).
         self._token_bytes = config.d_model * 2
         #: Memoised migration plans keyed by (part, activations).  Only
-        #: valid when the placement has no residency map / expert cache —
+        #: valid when the placement has no residency map —
         #: plans then depend solely on the activations, so identical gating
         #: outcomes (ubiquitous in long decode-heavy loads) reuse one plan
         #: object instead of re-running the planner every round.
@@ -288,7 +291,7 @@ class IterationSimulator:
         safe.
         """
         placement = self.placement
-        memoizable = placement.residency is None and placement.cache is None
+        memoizable = placement.residency is None
         key: Optional[Tuple] = None
         if memoizable:
             if self.design in ("gpu_only", "prefetch_all"):
@@ -300,7 +303,7 @@ class IterationSimulator:
             cached = self._plan_cache.get(key)
             if cached is not None:
                 return cached
-        # Without a residency map or cache nothing is resident.
+        # Without a residency map nothing is resident.
         resident = (None if memoizable else placement.cache_resident(
             part, len(placement.moe_positions(part))))
         plan = plan_for_design(
@@ -363,8 +366,9 @@ class IterationSimulator:
         query_tokens: int,
         self_kv_tokens: int,
         cross_kv_tokens: Optional[int],
+        *,
+        batch_round: "SharedExpertRound | PrefetchRound",
         start_at: float = 0.0,
-        batch_round: Optional[SharedExpertRound] = None,
         label: str = "",
         plan: Optional[MigrationPlan] = None,
         extra_deps: Optional[Sequence[int]] = None,
@@ -386,12 +390,13 @@ class IterationSimulator:
         its fetches — goes in as one :meth:`OpBatch.add_run`; only the
         fetch, expert-execution and all-to-all ops are added one by one.
 
+        ``batch_round`` is the round the pass belongs to: it holds the slots
+        of fetched experts and dedups transfers across its members;
         ``start_at`` gates the pass on the owning request's arrival time;
-        ``batch_round`` enables cross-request expert-transfer dedup;
         ``label`` prefixes op names so interleaved requests stay
-        distinguishable in traces; ``plan`` supplies a precomputed migration
-        plan (the scheduler already planned each round member for dedup
-        registration); ``extra_deps`` are op ids this pass's first compute op
+        distinguishable in traces; ``plan`` supplies the migration plan the
+        caller registered with ``batch_round`` (made here when omitted);
+        ``extra_deps`` are op ids this pass's first compute op
         must wait for (the same request's trailing combine from its previous
         pass on an expert-parallel replica).
         """
@@ -413,7 +418,6 @@ class IterationSimulator:
         emitted = EmittedPass(first_index=-1, last_index=-1)
         #: Per-target-block list of (op_id, owning device) for issued fetches.
         transfer_ops_by_target: Dict[int, List[Tuple[int, int]]] = {}
-        allocation_tags: Dict[int, List[str]] = {}
         #: Cross-lane ordering the next device-0 compute op must declare:
         #: the previous MoE block's combine op (expert-parallel only), seeded
         #: with the caller's carry-over from the request's previous pass.
@@ -447,7 +451,7 @@ class IterationSimulator:
             to_issue = []
             for transfer in issued:
                 key = (block_offset + transfer.block_index, transfer.expert_id)
-                if batch_round is not None and batch_round.is_fetched(key):
+                if batch_round.is_fetched(key):
                     # Already satisfied: fetched by another request of this
                     # round (share the migration, depend on its copy op) or
                     # resident in the shared cache (no dependency needed).
@@ -509,13 +513,7 @@ class IterationSimulator:
                     if names else None)
                 transfer_ops_by_target.setdefault(
                     transfer.block_index, []).append((copy_id, route.device))
-                if batch_round is not None:
-                    batch_round.fetch(placement, part, transfer, key, copy_id)
-                else:
-                    tag = placement.allocate_expert(
-                        part, transfer.block_index, transfer.expert_id)
-                    allocation_tags.setdefault(
-                        transfer.block_index, []).append(tag)
+                batch_round.fetch(placement, part, transfer, key, copy_id)
 
             # (3) Expert-execution stage: waits for this block's transfers.
             activated = activations[block] if block < len(activations) else []
@@ -542,13 +540,9 @@ class IterationSimulator:
                                    dispatch_id))
 
             # (4) Release (or retain) this block's experts.
-            if batch_round is not None:
-                for key in batch_round.release_keys(placement, part, plan,
-                                                    activations, block):
-                    batch_round.release(placement, key)
-            else:
-                placement.release_block_experts(
-                    part, block, allocation_tags.get(block, []), activated)
+            for key in batch_round.release_keys(placement, part, plan,
+                                                activations, block):
+                batch_round.release(placement, key)
 
         if layout.tail:
             add_run(layout.tail, [], [], [])
@@ -635,8 +629,9 @@ class IterationSimulator:
                                activations: IterationActivations,
                                query_tokens: int = 1, self_kv_tokens: int = 1,
                                cross_kv_tokens: int = 32, iteration: int = 0,
+                               *,
+                               batch_round: "SharedExpertRound | PrefetchRound",
                                start_at: float = 0.0,
-                               batch_round: Optional[SharedExpertRound] = None,
                                label: str = "",
                                plan: Optional[MigrationPlan] = None,
                                extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:
@@ -662,8 +657,9 @@ class IterationSimulator:
 
     def emit_encoder_pass(self, batch: OpBatch,
                           activations: IterationActivations,
-                          input_tokens: int, start_at: float = 0.0,
-                          batch_round: Optional[SharedExpertRound] = None,
+                          input_tokens: int, *,
+                          batch_round: "SharedExpertRound | PrefetchRound",
+                          start_at: float = 0.0,
                           label: str = "",
                           plan: Optional[MigrationPlan] = None,
                           extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:

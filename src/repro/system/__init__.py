@@ -3,14 +3,13 @@
 The substrate that stands in for the paper's A100 + EPYC + PCIe testbed:
 hardware specifications, a GPU latency model, memory pools with peak
 tracking, the dual-stream execution timeline that models compute/transfer
-overlap, the expert caches used in the Figure 15 study, and the tiered
+overlap, the expert-residency cache and its replacement policies used in
+the Figure 15 study, and the tiered
 memory hierarchy (multi-hop transfer paths, per-tier transfer stats) behind
 the SSD-offloading study of Figure 16.
 """
 
 from .cache import (
-    CacheStats,
-    ExpertCache,
     LFUPolicy,
     LIFOPolicy,
     LRUPolicy,
@@ -49,8 +48,6 @@ from .tiers import (
 from .timeline import ArrayTimeline, Stream, TimelineOp
 
 __all__ = [
-    "CacheStats",
-    "ExpertCache",
     "LFUPolicy",
     "LIFOPolicy",
     "LRUPolicy",

@@ -1,37 +1,20 @@
-"""Expert caching in GPU memory (Section VI-D, Figure 15).
+"""Expert-cache replacement policies (Section VI-D, Figure 15).
 
 Prior work (Huang et al.) observed that a few "hot" experts dominate
 activations and proposed buffering them in GPU memory.  The paper evaluates
 LIFO (the policy proposed there), LFU (SE-MoE) and LRU replacement on top of
 both Pre-gated MoE and MoE-OnDemand.  This module implements all three
-policies behind a common :class:`ExpertCache` interface keyed by
+policies behind a common :class:`EvictionPolicy` interface keyed by
 ``(moe_block_index, expert_id)`` — each MoE block has its own experts, so
-cache entries are per-block.
+cache entries are per-block.  The cache is
+:class:`~repro.system.residency.ExpertResidency`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 ExpertKey = Tuple[int, int]  # (moe_block_index, expert_id)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 class EvictionPolicy:
@@ -196,83 +179,6 @@ def make_policy(name: str) -> EvictionPolicy:
         return _POLICIES[name.lower()]()
     except KeyError:
         raise ValueError(f"unknown cache policy {name!r}; known: {sorted(_POLICIES)}") from None
-
-
-class ExpertCache:
-    """A fixed-capacity cache of expert parameters resident in GPU memory.
-
-    Parameters
-    ----------
-    capacity_experts:
-        Maximum number of experts kept resident (0 disables caching).
-    policy:
-        Replacement policy name or instance.
-    """
-
-    def __init__(self, capacity_experts: int, policy: "str | EvictionPolicy" = "lru") -> None:
-        if capacity_experts < 0:
-            raise ValueError("capacity_experts must be non-negative")
-        self.capacity = capacity_experts
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self._resident: Dict[ExpertKey, None] = {}
-        self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._resident)
-
-    def __contains__(self, key: ExpertKey) -> bool:
-        return key in self._resident
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def resident_keys(self) -> List[ExpertKey]:
-        return list(self._resident.keys())
-
-    def resident_for_block(self, block_index: int) -> List[int]:
-        """Expert ids of ``block_index`` currently resident."""
-        return [e for (b, e) in self._resident if b == block_index]
-
-    # ------------------------------------------------------------------
-    def lookup(self, key: ExpertKey) -> bool:
-        """Check residency of an expert; updates hit/miss statistics."""
-        if not self.enabled:
-            self.stats.misses += 1
-            return False
-        if key in self._resident:
-            self.stats.hits += 1
-            self.policy.on_access(key)
-            return True
-        self.stats.misses += 1
-        return False
-
-    def insert(self, key: ExpertKey) -> Optional[ExpertKey]:
-        """Insert an expert after it has been migrated to GPU memory.
-
-        Returns the evicted key, if an eviction was required.
-        """
-        if not self.enabled:
-            return None
-        evicted = None
-        if key in self._resident:
-            self.policy.on_access(key)
-            return None
-        if len(self._resident) >= self.capacity:
-            victim = self.policy.choose_victim(self._resident)
-            del self._resident[victim]
-            self.policy.on_evict(victim)
-            self.stats.evictions += 1
-            evicted = victim
-        self._resident[key] = None
-        self.policy.on_insert(key)
-        return evicted
-
-    def clear(self) -> None:
-        for key in list(self._resident):
-            self.policy.on_evict(key)
-        self._resident.clear()
 
 
 def cache_capacity_from_fraction(num_moe_blocks: int, num_experts: int, fraction: float) -> int:

@@ -1,17 +1,17 @@
 """Shared expert-residency map: refcounted, tier-aware GPU caching.
 
-The Figure 15 study caches hot experts in GPU memory for the one-request
-engine; continuous batching needs more than a per-request cache, because
-concurrent in-flight requests *share* residency: an expert fetched for one
-request must stay in HBM until every request computing with it has executed,
-and only then may a replacement policy decide whether to keep it warm for
-future rounds or give the bytes back.
+The Figure 15 study caches hot experts in GPU memory.  :class:`ExpertResidency`
+is the repo's one expert cache: the single-request engine and the
+continuous-batching scheduler both cache through it.  Concurrent in-flight
+requests *share* residency: an expert fetched for one request must stay in
+HBM until every request computing with it has executed, and only then may a
+replacement policy decide whether to keep it warm for future rounds or give
+the bytes back.
 
-:class:`ExpertResidency` is that shared map.  It is keyed by
-``(global_moe_block_index, expert_id)`` like :class:`~repro.system.cache.ExpertCache`
-and reuses the same LIFO/LRU/LFU :class:`~repro.system.cache.EvictionPolicy`
-implementations, but adds the two properties a multi-request scheduler
-needs:
+The map is keyed by ``(global_moe_block_index, expert_id)`` and chooses
+victims through the LIFO/LRU/LFU
+:class:`~repro.system.cache.EvictionPolicy` implementations.  It has the two
+properties a multi-request scheduler needs:
 
 * **refcounted pinning** — :meth:`pin` marks an expert in use by one
   in-flight round member; a pinned entry can never be evicted, so a round's

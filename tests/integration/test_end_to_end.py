@@ -11,7 +11,7 @@ import pytest
 from repro.core import PreGatedSwitchTransformer, peak_memory_comparison
 from repro.moe import get_config
 from repro.serving import compare_designs, make_engine
-from repro.system import ExpertCache, PAPER_SYSTEM, SSD_SYSTEM
+from repro.system import PAPER_SYSTEM, SSD_SYSTEM
 from repro.workloads import TraceGenerator, trace_from_routing
 
 
@@ -131,8 +131,9 @@ class TestCachingAcrossDesigns:
                                                                    output_length=10)
 
         def throughput(design, cached):
-            cache = ExpertCache(capacity_experts=150, policy="lru") if cached else None
-            engine = make_engine(design, config, cache=cache)
+            engine = (make_engine(design, config, cache_policy="lru",
+                                  cache_capacity=150)
+                      if cached else make_engine(design, config))
             return engine.run_workload(traces).aggregate_tokens_per_second
 
         pre_gain = throughput("pregated", True) / throughput("pregated", False)

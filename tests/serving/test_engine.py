@@ -13,7 +13,8 @@ from repro.serving import (
     compare_designs,
     make_engine,
 )
-from repro.system import ExpertCache, PAPER_SYSTEM, SSD_SYSTEM, Stream
+from repro.system import (PAPER_SYSTEM, SSD_SYSTEM, Stream,
+                          cache_capacity_from_fraction)
 from repro.system.timeline import ArrayTimeline
 from repro.workloads import TraceGenerator
 
@@ -217,8 +218,8 @@ class TestCachingIntegration:
         gen = TraceGenerator(config, skew=1.5, seed=3)
         traces = gen.workload(3, input_length=8, output_length=8)
 
-        def total_copies(cache):
-            engine = make_engine("ondemand", config, cache=cache)
+        def total_copies(**cache_knobs):
+            engine = make_engine("ondemand", config, **cache_knobs)
             engine.load_model()
             timeline = ArrayTimeline(record_trace=True)
             for trace in traces:
@@ -227,33 +228,71 @@ class TestCachingIntegration:
                                                  timeline=timeline)
             return len(timeline.ops_by_category("expert_transfer"))
 
-        uncached = total_copies(None)
-        cached = total_copies(ExpertCache(capacity_experts=100, policy="lru"))
+        uncached = total_copies()
+        cached = total_copies(cache_policy="lru", cache_capacity=100)
         assert cached < uncached
 
     def test_cache_hits_recorded(self):
         config = get_config("switch_base_8")
-        cache = ExpertCache(capacity_experts=50, policy="lfu")
-        engine = make_engine("pregated", config, cache=cache)
+        engine = make_engine("pregated", config, cache_policy="lfu",
+                             cache_capacity=50)
         gen = TraceGenerator(config, skew=1.0, seed=4)
         trace = gen.request_trace(input_length=8, output_length=8)
         engine.run_request(trace)
-        assert cache.stats.accesses > 0
+        assert engine.placement.residency.stats.accesses > 0
 
     @pytest.mark.parametrize("policy", ["lru", "lfu", "lifo"])
-    def test_prefetch_all_cache_holds_at_most_capacity_extra(self, policy):
-        """Fetched experts the cache does not keep are freed after the block.
+    def test_every_cache_miss_is_a_fetch(self, policy):
+        """No expert runs from nowhere: a plan that relied on a resident
+        expert keeps it pinned until its block has executed, so every miss
+        is a charged transfer and every expert use is a hit or a miss.
 
-        prefetch_all fetches every expert of a block but caches only the
-        activated ones, so with a cache the peak may exceed the uncached
-        peak by at most the cache's own capacity.
+        Figure 15's shape at 1% capacity, where evictions are frequent.
+        """
+        config = get_config("switch_large_128")
+        traces = TraceGenerator(config, skew=1.5, seed=0).workload(
+            2, input_length=8, output_length=12)
+        capacity = cache_capacity_from_fraction(
+            config.num_moe_blocks("all"), config.num_experts, 0.01)
+        engine = make_engine("ondemand", config, cache_policy=policy,
+                             cache_capacity=capacity)
+        result = engine.run_workload(traces)
+        stats = engine.placement.residency.stats
+        uses = sum(len(set(block)) for trace in traces
+                   for acts in [trace.encoder_activations,
+                                *trace.decode_activations]
+                   for block in acts)
+        assert uses == 417
+        assert stats.evictions > 0
+        assert stats.misses == result.tier_stats.fetches
+        assert stats.hits + stats.misses == uses
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "lifo"])
+    def test_prefetch_all_cache_keeps_only_resident_bytes(self, policy):
+        """prefetch_all fetches every expert of a block, activated or not;
+        whatever the cache does not retain must be freed.
+
+        End state: every byte in a GPU pool's ``experts`` category belongs
+        to a resident entry, nothing stays pinned and at most ``capacity``
+        entries are retained.  Peak: the uncached run's fetch slots plus
+        at most ``2 * capacity`` experts — up to ``capacity`` retained
+        entries, plus up to ``capacity`` residents a pass's registration
+        pinned ahead (they were retained entries when pinned and, pinned,
+        no longer count against the retained bound).
         """
         config = get_config("switch_base_64")
         traces = TraceGenerator(config, skew=1.2, seed=0).workload(
             3, input_length=8, output_length=4)
         capacity = 8
         uncached = make_engine("prefetch_all", config).run_workload(traces)
-        cached = make_engine("prefetch_all", config, cache_policy=policy,
-                             cache_capacity=capacity).run_workload(traces)
+        engine = make_engine("prefetch_all", config, cache_policy=policy,
+                             cache_capacity=capacity)
+        cached = engine.run_workload(traces)
+        residency = engine.placement.residency
+        for shard in engine.placement.shards:
+            assert (shard.pool.category_usage("experts")
+                    == shard.residency.resident_bytes)
+        assert residency.pinned_count == 0
+        assert residency.retained_count <= capacity
         assert cached.peak_gpu_bytes <= (uncached.peak_gpu_bytes
-                                         + capacity * config.expert_bytes())
+                                         + 2 * capacity * config.expert_bytes())

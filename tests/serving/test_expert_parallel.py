@@ -101,8 +101,8 @@ class TestShardedPlacement:
         placement.load_model()
         hot = 0                               # contiguous: device 0
         cold = CONFIG.num_experts - 1         # contiguous: device 1
-        tag_hot = placement.allocate_expert("decoder", 0, hot)
-        tag_cold = placement.allocate_expert("decoder", 0, cold)
+        tag_hot = placement.allocate_shared_expert("decoder", 0, hot)
+        tag_cold = placement.allocate_shared_expert("decoder", 0, cold)
         assert placement.shards[0].pool.has(tag_hot)
         assert not placement.shards[1].pool.has(tag_hot)
         assert placement.shards[1].pool.has(tag_cold)

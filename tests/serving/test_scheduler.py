@@ -64,6 +64,26 @@ class TestBackwardCompatibility:
         served = scheduler.serve([trace]).requests[0]
         assert served.completion_time == pytest.approx(reference.total_time, abs=1e-9)
 
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "lifo"])
+    @pytest.mark.parametrize("design", ["pregated", "ondemand", "prefetch_all"])
+    def test_cached_engine_matches_batch_one_scheduler(self, design, policy,
+                                                       num_gpus):
+        """Engine and scheduler share one expert cache and one rule, so
+        requests served back to back agree on time, peak and hits."""
+        traces = TraceGenerator(CONFIG, skew=1.5, seed=0).workload(
+            2, input_length=8, output_length=6)
+        knobs = dict(cache_policy=policy, cache_capacity=8, num_gpus=num_gpus)
+        engine = make_engine(design, CONFIG, **knobs)
+        reference = engine.run_workload(traces)
+        served = make_scheduler(design, CONFIG, max_batch_size=1,
+                                **knobs).serve(traces)
+        assert served.makespan == pytest.approx(
+            sum(r.total_time for r in reference.requests), abs=1e-9)
+        assert served.peak_gpu_bytes == reference.peak_gpu_bytes
+        assert engine.residency.stats.hits > 0
+        assert served.cache_stats.hits == engine.residency.stats.hits
+
 
 class TestLifecycle:
     def test_all_requests_complete_with_metrics(self, traces):

@@ -1,10 +1,13 @@
-"""Tests for the expert caches (LIFO / LFU / LRU) of the Figure 15 study."""
+"""Tests for the Figure 15 replacement-policy factory and capacity helper.
+
+The cache itself is :class:`~repro.system.residency.ExpertResidency`; its
+victim choice and capacity bound are tested in ``test_residency.py`` and
+fuzzed against the reference map in ``test_residency_oracle.py``.
+"""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.system.cache import (
-    ExpertCache,
     LFUPolicy,
     LIFOPolicy,
     LRUPolicy,
@@ -25,91 +28,6 @@ class TestPolicyFactory:
             make_policy("random")
 
 
-class TestExpertCacheBasics:
-    def test_miss_then_hit(self):
-        cache = ExpertCache(capacity_experts=4, policy="lru")
-        key = (0, 3)
-        assert not cache.lookup(key)
-        cache.insert(key)
-        assert cache.lookup(key)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_capacity_zero_disables_cache(self):
-        cache = ExpertCache(capacity_experts=0)
-        assert not cache.enabled
-        assert cache.insert((0, 1)) is None
-        assert not cache.lookup((0, 1))
-
-    def test_eviction_at_capacity(self):
-        cache = ExpertCache(capacity_experts=2, policy="lru")
-        cache.insert((0, 1))
-        cache.insert((0, 2))
-        evicted = cache.insert((0, 3))
-        assert evicted is not None
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-
-    def test_duplicate_insert_is_noop(self):
-        cache = ExpertCache(capacity_experts=2)
-        cache.insert((0, 1))
-        assert cache.insert((0, 1)) is None
-        assert len(cache) == 1
-
-    def test_resident_for_block(self):
-        cache = ExpertCache(capacity_experts=4)
-        cache.insert((0, 1))
-        cache.insert((0, 5))
-        cache.insert((1, 2))
-        assert sorted(cache.resident_for_block(0)) == [1, 5]
-        assert cache.resident_for_block(1) == [2]
-        assert cache.resident_for_block(2) == []
-
-    def test_clear(self):
-        cache = ExpertCache(capacity_experts=4)
-        cache.insert((0, 1))
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_negative_capacity(self):
-        with pytest.raises(ValueError):
-            ExpertCache(capacity_experts=-1)
-
-    def test_contains(self):
-        cache = ExpertCache(capacity_experts=2)
-        cache.insert((3, 4))
-        assert (3, 4) in cache
-        assert (3, 5) not in cache
-
-
-class TestReplacementPolicies:
-    def test_lru_evicts_least_recently_used(self):
-        cache = ExpertCache(capacity_experts=2, policy="lru")
-        cache.insert((0, 1))
-        cache.insert((0, 2))
-        cache.lookup((0, 1))          # refresh key 1
-        evicted = cache.insert((0, 3))
-        assert evicted == (0, 2)
-
-    def test_lfu_evicts_least_frequently_used(self):
-        cache = ExpertCache(capacity_experts=2, policy="lfu")
-        cache.insert((0, 1))
-        cache.insert((0, 2))
-        for _ in range(3):
-            cache.lookup((0, 1))
-        evicted = cache.insert((0, 3))
-        assert evicted == (0, 2)
-
-    def test_lifo_evicts_most_recently_inserted(self):
-        cache = ExpertCache(capacity_experts=2, policy="lifo")
-        cache.insert((0, 1))
-        cache.insert((0, 2))
-        evicted = cache.insert((0, 3))
-        assert evicted == (0, 2)   # last in, first out
-        assert (0, 1) in cache
-
-
 class TestCapacityHelper:
     def test_fraction_of_total_experts(self):
         # Switch-Large: 24 MoE blocks x 128 experts, 10% => ~307 experts.
@@ -120,18 +38,3 @@ class TestCapacityHelper:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             cache_capacity_from_fraction(4, 8, 1.5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(capacity=st.integers(min_value=1, max_value=16),
-       accesses=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)),
-                         min_size=1, max_size=100),
-       policy=st.sampled_from(["lru", "lfu", "lifo"]))
-def test_property_cache_never_exceeds_capacity(capacity, accesses, policy):
-    """Invariant: residency never exceeds the configured capacity, for any policy."""
-    cache = ExpertCache(capacity_experts=capacity, policy=policy)
-    for key in accesses:
-        if not cache.lookup(key):
-            cache.insert(key)
-        assert len(cache) <= capacity
-    assert cache.stats.accesses == len(accesses)
