@@ -28,8 +28,8 @@ from conftest import ENGINE_CONFIG, emit
 from repro.analysis import FigureReport
 from repro.moe import get_config
 from repro.serving import DESIGN_LABELS, serve_load
+from repro.sweeps import open_loop, run_grid
 from repro.workloads import WorkloadSpec
-from sweeps import open_loop, run_grid
 
 CONFIG = get_config("switch_base_64")
 DESIGNS = ("pregated", "ondemand", "prefetch_all")

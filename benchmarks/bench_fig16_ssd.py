@@ -1,9 +1,22 @@
-"""Figure 16 — end-to-end throughput with SSD offloading (Switch-Large, Switch-XXL).
+"""Figure 16 — throughput with SSD offloading, one request at a time and under load.
 
-Paper result (normalised to Pre-gated MoE; GPU-only OOMs): with expert
-parameters on SSD the migration latency dominates every design, shrinking
-Pre-gated MoE's advantage, but it still delivers the highest throughput;
-MoE-Prefetch collapses to ~1% of Pre-gated MoE.
+Paper result (Switch-Large, Switch-XXL, normalised to Pre-gated MoE; GPU-only
+OOMs): with expert parameters on SSD the migration latency dominates every
+design, shrinking Pre-gated MoE's advantage, but it still delivers the
+highest throughput; MoE-Prefetch collapses to ~1% of Pre-gated MoE.
+
+The under-load study re-runs it the way a serving fleet would see it — a
+stream of skewed (hot-expert) requests through the continuous-batching
+scheduler on ``SSD_SYSTEM`` — sweeping design × DRAM-stage capacity ×
+offered load.  Targets:
+
+* the paper's Figure 16 ordering survives under load at every stage
+  capacity: pregated ≥ ondemand, and both far above prefetch_all (which
+  pays the SSD for every expert of every block);
+* a warm DRAM stage strictly reduces SSD bytes read and reports a positive
+  stage hit rate for both Pre-gated MoE and MoE-OnDemand;
+* a zero-capacity stage is timing-identical to running without one (the
+  tier-path parity contract).
 """
 
 import pytest
@@ -11,14 +24,34 @@ import pytest
 from conftest import ENGINE_CONFIG, emit
 from repro.analysis import FigureReport
 from repro.moe import get_config
-from repro.serving import DESIGN_LABELS, compare_designs
+from repro.serving import DESIGN_LABELS, compare_designs, serve_load
+from repro.sweeps import open_loop, run_grid
 from repro.system import PAPER_SYSTEM, SSD_SYSTEM
 from repro.workloads import TraceGenerator, WorkloadSpec
 
-CONFIGS = ("switch_large_128", "switch_xxl")
 DESIGNS = ("pregated", "ondemand", "prefetch_all")
+
+#: The paper's one-request study.
+CONFIGS = ("switch_large_128", "switch_xxl")
 WORKLOAD = WorkloadSpec(name="fig16_ssd", num_requests=1, input_length=8,
                         output_length=8, seed=0)
+
+#: The under-load study: Switch-Base 64, hot-expert open-loop traffic
+#: (repeat activations give the stage its hits).
+LOAD_CONFIG = get_config("switch_base_64")
+STAGE_CAPACITIES = (0, 128, 512)     # experts retained in host DRAM
+LOADS = (0.5, 2.0)                   # requests/second (SSD serving is slow)
+LOAD_WORKLOAD = WorkloadSpec(name="fig16_load_hot_experts", num_requests=5,
+                             input_length=8, output_length=6, routing_skew=1.5,
+                             seed=0)
+
+
+def _serve(design, rate, stage_capacity=None):
+    stage_policy = "lru" if stage_capacity is not None else None
+    return serve_load(design, LOAD_CONFIG, open_loop(rate),
+                      workload=LOAD_WORKLOAD, system=SSD_SYSTEM,
+                      engine_config=ENGINE_CONFIG, max_batch_size=4,
+                      stage_policy=stage_policy, stage_capacity=stage_capacity)
 
 
 def run_ssd_study():
@@ -36,6 +69,16 @@ def run_ssd_study():
             "dram": {d: r.aggregate_tokens_per_second for d, r in dram.items()},
         }
     return table
+
+
+def run_ssd_load_study():
+    baseline = run_grid(_serve, design=DESIGNS, rate=LOADS)
+    staged = run_grid(_serve, design=DESIGNS, stage_capacity=STAGE_CAPACITIES,
+                      rate=LOADS)
+    results = {(design, None, rate): result
+               for (design, rate), result in baseline.items()}
+    results.update(staged)
+    return results
 
 
 @pytest.mark.benchmark(group="fig16")
@@ -64,3 +107,68 @@ def test_fig16_ssd_offloading(benchmark, results_dir):
     dram_gap = large["dram"]["pregated"] / large["dram"]["ondemand"]
     ssd_gap = large["ssd"]["pregated"] / large["ssd"]["ondemand"]
     assert ssd_gap <= dram_gap + 0.05
+
+
+@pytest.mark.benchmark(group="fig16_load")
+def test_fig16_ssd_under_load(benchmark, results_dir):
+    results = benchmark.pedantic(run_ssd_load_study, rounds=1, iterations=1)
+    report = FigureReport(
+        figure="Figure 16 (under load)",
+        description="SSD offloading with a DRAM staging cache, "
+                    "Switch-Base 64, skewed routing",
+        headers=["design", "stage capacity", "load rps", "tokens/s",
+                 "p99 ttft ms", "SSD GB read", "stage hit rate"],
+        paper_reference="With experts on SSD, migration latency dominates all "
+                        "designs; Pre-gated MoE stays fastest and the gap to "
+                        "OnDemand narrows (Fig. 16).",
+        notes="Stage capacity in experts retained in host DRAM; capacity 0 "
+              "keeps the staging machinery but retains nothing (parity with "
+              "the unstaged multi-hop path).")
+    for (design, capacity, rate), result in results.items():
+        stats = result.tier_stats
+        hit_rate = result.stage_hit_rate
+        report.add_row(
+            DESIGN_LABELS[design],
+            "w/o stage" if capacity is None else capacity, rate,
+            round(result.sustained_tokens_per_second, 2),
+            round(result.ttft_stats.p99 * 1e3, 2),
+            round(stats.ssd_bytes_read / 1e9, 3),
+            round(hit_rate, 3) if hit_rate is not None else "-")
+    emit(report, results_dir, "fig16_ssd_load.csv")
+
+    warm = max(STAGE_CAPACITIES)
+    for rate in LOADS:
+        for capacity in (None,) + STAGE_CAPACITIES:
+            # Figure 16's ordering survives under load at every capacity:
+            # pregated >= ondemand >> prefetch_all.
+            pregated = results[("pregated", capacity, rate)]
+            ondemand = results[("ondemand", capacity, rate)]
+            prefetch = results[("prefetch_all", capacity, rate)]
+            assert (pregated.sustained_tokens_per_second
+                    >= ondemand.sustained_tokens_per_second)
+            assert (prefetch.sustained_tokens_per_second
+                    < 0.5 * ondemand.sustained_tokens_per_second)
+        for design in ("pregated", "ondemand"):
+            base = results[(design, None, rate)]
+            staged = results[(design, warm, rate)]
+            # A warm stage strictly cuts SSD reads and reports hits.
+            assert staged.ssd_bytes_read < base.ssd_bytes_read
+            assert staged.stage_hit_rate > 0.0
+            assert staged.tier_stats.ssd_bytes_saved > 0
+            # Bigger stages never read more off the SSD (LRU retention).
+            small = results[(design, min(s for s in STAGE_CAPACITIES if s > 0), rate)]
+            assert staged.ssd_bytes_read <= small.ssd_bytes_read
+
+
+@pytest.mark.benchmark(group="fig16_load")
+def test_fig16_zero_capacity_stage_parity(benchmark):
+    def run():
+        base = _serve("pregated", 1.0)
+        zero = _serve("pregated", 1.0, stage_capacity=0)
+        return base, zero
+
+    base, zero = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert zero.makespan == pytest.approx(base.makespan, abs=1e-9)
+    assert zero.expert_bytes_transferred == base.expert_bytes_transferred
+    assert zero.ssd_bytes_read == base.ssd_bytes_read
+    assert zero.peak_gpu_bytes == base.peak_gpu_bytes

@@ -6,16 +6,15 @@ Three-layer architecture:
   GPU expert-slot accounting);
 * :mod:`~repro.serving.simulator` — per-iteration simulation of one stack
   pass on a shared execution timeline;
-* request lifecycle — :mod:`~repro.serving.engine` for one-request-at-a-time
-  serving of the four designs, :mod:`~repro.serving.scheduler` for
-  continuous batching under an arrival process, and
+* request lifecycle — :mod:`~repro.serving.scheduler` for continuous
+  batching under an arrival process (the one round loop),
+  :mod:`~repro.serving.engine` for one-request-at-a-time serving of the four
+  designs as a batch-1 front end over it, and
   :mod:`~repro.serving.cluster` for multi-replica routing.
 """
 
 from .cluster import ClusterResult, ReplicaCluster, ROUTING_POLICIES
 from .engine import (
-    DESIGN_LABELS,
-    EngineConfig,
     GPUOnlyEngine,
     OnDemandEngine,
     PreGatedEngine,
@@ -45,7 +44,13 @@ from .placement import (
     ShardedResidency,
 )
 from .prefetch import CrossRequestPrefetcher, PrefetchRound
-from .scheduler import ContinuousBatchingScheduler, make_scheduler, serve_load
+from .scheduler import (
+    DESIGN_LABELS,
+    ContinuousBatchingScheduler,
+    EngineConfig,
+    make_scheduler,
+    serve_load,
+)
 from .simulator import IterationSimulator, SharedExpertRound
 
 __all__ = [

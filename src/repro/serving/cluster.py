@@ -52,9 +52,8 @@ from ..sweeps import fork_start_method, ordered_pool_map
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..workloads.arrivals import TimedRequest
 from ..workloads.traces import RequestTrace
-from .engine import EngineConfig
 from .metrics import LoadTestResult, merge_load_results
-from .scheduler import ContinuousBatchingScheduler
+from .scheduler import ContinuousBatchingScheduler, EngineConfig
 
 ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware")
 

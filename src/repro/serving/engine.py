@@ -17,15 +17,14 @@ interaction between GPU compute and CPU→GPU expert migration:
   block *N* identifies the activated experts of block *N+1*, so only those
   are transferred, overlapped with block *N*'s execution.
 
-The engine itself is the *request-lifecycle* layer of the serving stack: it
-composes a :class:`~repro.serving.placement.ModelPlacement` (parameter
-storage policy) with an :class:`~repro.serving.simulator.IterationSimulator`
-(per-iteration op emission) and runs requests end-to-end, one at a time:
-each pass is a one-member round of the scheduler's round protocol (so it
-caches through the same :class:`~repro.system.residency.ExpertResidency`),
-emitted as one op batch and committed to the timeline, and its per-block
-latencies are read back from the committed start/end times.  The
-continuous-batching path lives in :mod:`repro.serving.scheduler`.
+An engine is the one-request-at-a-time front end of the serving stack (the
+paper's evaluation setting): a thin layer over a batch-1
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, which owns
+the placement, the residency map and the per-iteration simulator.  Each
+pass is one round of the scheduler's
+:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.run_round` with
+a single unit, committed on the caller's timeline, with its per-block
+latencies read back from the committed start/end times.
 
 The engines consume expert-activation traces
 (:class:`~repro.workloads.traces.RequestTrace`) and emit the same metrics
@@ -35,31 +34,17 @@ in tokens/second and peak GPU memory usage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Dict, List, Optional, Sequence
 
-from ..moe.configs import ModelConfig, get_config
+from ..moe.configs import ModelConfig
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError
 from ..system.performance import GpuLatencyModel
 from ..system.timeline import ArrayTimeline
 from ..workloads.traces import IterationActivations, RequestTrace
-from .metrics import (BlockLatencyRecord, IterationResult, RequestResult,
-                      WorkloadResult)
-from .placement import DEFAULT_RUNTIME_WORKSPACE_BYTES, ModelPlacement
-from .prefetch import CrossRequestPrefetcher
-from .simulator import IterationSimulator, SharedExpertRound
-
-
-@dataclass
-class EngineConfig:
-    """Tunable knobs shared by all engines."""
-
-    activation_level: int = 1
-    runtime_workspace_bytes: int = DEFAULT_RUNTIME_WORKSPACE_BYTES
-    #: Whether to keep simulating when the GPU pool would be exceeded
-    #: (used by analyses that want to measure how far over budget a design is).
-    allow_oversubscription: bool = False
+from .metrics import IterationResult, RequestResult, WorkloadResult
+from .scheduler import ContinuousBatchingScheduler, EngineConfig, RoundUnit
 
 
 class ServingEngine:
@@ -82,37 +67,24 @@ class ServingEngine:
                  shard_policy: str = "contiguous",
                  expert_weights: Optional[Sequence[float]] = None,
                  interconnect: Optional[LinkSpec] = None) -> None:
-        if num_gpus is not None or interconnect is not None:
-            system = system.with_num_gpus(
-                num_gpus if num_gpus is not None else system.num_gpus,
-                interconnect=interconnect)
-        self.config = get_config(config) if isinstance(config, str) else config
-        self.system = system
-        self.latency = latency_model or GpuLatencyModel(system.gpu)
-        self.engine_config = engine_config or EngineConfig()
-        self.placement = ModelPlacement(
-            self.config, system, offload_experts=self.offloads_experts,
+        self.scheduler = ContinuousBatchingScheduler(
+            self.design, config, system=system, latency_model=latency_model,
+            engine_config=engine_config, max_batch_size=1,
             cache_policy=cache_policy, cache_capacity=cache_capacity,
             stage_policy=stage_policy, stage_capacity=stage_capacity,
-            shard_policy=shard_policy, expert_weights=expert_weights,
-            runtime_workspace_bytes=self.engine_config.runtime_workspace_bytes,
-            allow_oversubscription=self.engine_config.allow_oversubscription)
-        self.residency = self.placement.residency
-        self.prefetcher = (CrossRequestPrefetcher(self.residency)
-                           if self.residency is not None else None)
-        self.simulator = IterationSimulator(
-            self.config, system, self.latency, self.design, self.placement,
-            activation_level=self.engine_config.activation_level)
-        # Carry-over of a trailing all-to-all combine between consecutive
-        # passes on the same timeline (expert-parallel replicas only).
-        self._carry: "tuple[ArrayTimeline, List[int]] | None" = None
-
-    # ------------------------------------------------------------------
-    # Placement delegation (kept on the engine for backward compatibility)
-    # ------------------------------------------------------------------
-    @property
-    def offloads_experts(self) -> bool:
-        return self.design != "gpu_only"
+            num_gpus=num_gpus, shard_policy=shard_policy,
+            expert_weights=expert_weights, interconnect=interconnect,
+            round_replay=False)
+        self.config = self.scheduler.config
+        self.system = self.scheduler.system
+        self.placement = self.scheduler.placement
+        self.residency = self.scheduler.residency
+        self.simulator = self.scheduler.simulator
+        # The last pass's timeline (held weakly, so a caller's timeline is
+        # not kept alive) and the op ids its next pass must wait for: the
+        # trailing all-to-all combine on expert-parallel replicas.
+        self._pending_timeline = None
+        self._pending_deps: List[int] = []
 
     @property
     def memory(self) -> MemoryHierarchy:
@@ -134,68 +106,24 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Public simulation API
     # ------------------------------------------------------------------
-    def _consume_carry(self, timeline: ArrayTimeline) -> List[int]:
-        """Pending cross-pass deps for ``timeline`` (expert-parallel only)."""
-        if self._carry is not None and self._carry[0] is timeline:
-            return self._carry[1]
-        return []
-
-    def _run_pass(self, part: str, iteration: int,
-                  timeline: Optional[ArrayTimeline],
-                  activations: IterationActivations, **shape) -> IterationResult:
-        """Run one pass as a one-member round, commit it and read back latencies.
-
-        ``shape`` holds the token counts of the part's ``emit_*`` call.  The
-        plan is registered before any op is emitted, as in the scheduler, so
-        a cache keeps the residents it relies on pinned through the pass.
-
-        A block's latency runs from the end of its input (the preceding
-        non-MoE op) to the end of the op completing the block; its exposed
-        transfer time is the worst stall of any expert-execution op behind
-        compute-side readiness — the last compute op before execution, or
-        for a remote device the arrival of its dispatched tokens.
-        """
+    def _serve_unit(self, part: str, iteration: int,
+                    activations: IterationActivations, tokens: tuple,
+                    timeline: Optional[ArrayTimeline]) -> IterationResult:
+        """Run one pass as a one-unit round on ``timeline`` (a fresh one if None)."""
         self.load_model()
         timeline = timeline if timeline is not None else ArrayTimeline()
+        carried = (self._pending_timeline is not None
+                   and self._pending_timeline() is timeline)
+        unit = RoundUnit(part, iteration, activations, tokens, 0.0, "",
+                         self._pending_deps if carried else ())
         start = timeline.makespan
-        if part == "decoder":
-            emit = self.simulator.emit_decoder_iteration
-            shape["iteration"] = iteration
-        else:
-            emit = self.simulator.emit_encoder_pass
-        batch_round = (self.prefetcher.begin_round()
-                       if self.prefetcher is not None else SharedExpertRound())
-        plan = self.simulator.make_plan(part, activations)
-        batch_round.register_plan(self.placement, part, plan, activations)
-        batch = timeline.begin_batch()
-        try:
-            emitted = emit(batch, activations, batch_round=batch_round,
-                           plan=plan, extra_deps=self._consume_carry(timeline),
-                           **shape)
-        finally:
-            batch_round.drain(self.placement)
-        starts, ends = timeline.commit_batch(batch)
-        self._carry = (timeline, list(emitted.carry_deps))
-        starts, ends = starts.tolist(), ends.tolist()
-        base = batch.base_id
-        devices = batch.device
-        records = []
-        for (block, num_active, input_id, ready_id, end_id, exec_ids,
-             dispatch_id) in emitted.blocks:
-            ready = ends[ready_id - base]
-            exposed = 0.0
-            for exec_id in exec_ids:
-                exec_ready = ready
-                if dispatch_id >= 0 and devices[exec_id - base] != 0:
-                    exec_ready = max(ready, ends[dispatch_id - base])
-                exposed = max(exposed, starts[exec_id - base] - exec_ready)
-            records.append(BlockLatencyRecord(
-                part=part, iteration=iteration, block_index=block,
-                latency=ends[end_id - base] - ends[input_id - base],
-                num_active_experts=num_active, exposed_transfer_time=exposed))
+        committed = self.scheduler.run_round(timeline, [unit],
+                                             block_records=True)
+        self._pending_timeline = weakref.ref(timeline)
+        self._pending_deps = list(committed.passes[0].carry_deps)
         return IterationResult(part=part, iteration=iteration,
                                duration=timeline.makespan - start,
-                               block_latencies=records)
+                               block_latencies=committed.blocks[0])
 
     def run_decoder_iteration(self, activations: IterationActivations,
                               query_tokens: int = 1, self_kv_tokens: int = 1,
@@ -203,16 +131,15 @@ class ServingEngine:
                               timeline: Optional[ArrayTimeline] = None,
                               iteration: int = 0) -> IterationResult:
         """Simulate a single decoder iteration (all decoder layers, one token)."""
-        return self._run_pass("decoder", iteration, timeline, activations,
-                              query_tokens=query_tokens,
-                              self_kv_tokens=self_kv_tokens,
-                              cross_kv_tokens=cross_kv_tokens)
+        return self._serve_unit(
+            "decoder", iteration, activations,
+            (query_tokens, self_kv_tokens, cross_kv_tokens), timeline)
 
     def run_encoder_pass(self, activations: IterationActivations, input_tokens: int,
                          timeline: Optional[ArrayTimeline] = None) -> IterationResult:
         """Simulate the encoder pass over ``input_tokens`` tokens."""
-        return self._run_pass("encoder", 0, timeline, activations,
-                              input_tokens=input_tokens)
+        return self._serve_unit("encoder", 0, activations, (input_tokens,),
+                                timeline)
 
     def run_request(self, trace: RequestTrace) -> RequestResult:
         """Serve one request end-to-end: encoder pass + all decoder iterations."""
@@ -232,9 +159,6 @@ class ServingEngine:
                 timeline=timeline, iteration=step)
             iterations.append(result)
         decode_time = timeline.makespan - encoder_time
-        # The carry only orders passes within this request; drop it so the
-        # engine does not keep the request's whole timeline alive.
-        self._carry = None
 
         return RequestResult(
             design=self.design, config_name=self.config.name,
@@ -260,7 +184,7 @@ class ServingEngine:
         for trace in traces:
             result.requests.append(self.run_request(trace))
         result.peak_gpu_bytes = self.placement.peak_gpu_bytes
-        if self.offloads_experts:
+        if self.placement.offload_experts:
             result.tier_stats = self.placement.transfers.since(transfers_before)
         return result
 
@@ -295,15 +219,6 @@ _ENGINES = {
     "prefetch_all": PrefetchAllEngine,
     "pregated": PreGatedEngine,
 }
-
-#: Display names used in reports, matching the paper's figure legends.
-DESIGN_LABELS = {
-    "gpu_only": "GPU-only",
-    "pregated": "Pre-gated MoE",
-    "ondemand": "MoE-OnDemand",
-    "prefetch_all": "MoE-Prefetch",
-}
-
 
 def make_engine(design: str, config: "ModelConfig | str", system: SystemSpec = PAPER_SYSTEM,
                 engine_config: Optional[EngineConfig] = None,

@@ -260,7 +260,7 @@ class ShardedPlacement:
         the optional expected per-expert gate load driving ``load_balanced``.
         Irrelevant for single-GPU replicas.
     runtime_workspace_bytes / allow_oversubscription:
-        See :class:`~repro.serving.engine.EngineConfig`.
+        See :class:`~repro.serving.scheduler.EngineConfig`.
     """
 
     def __init__(self, config: ModelConfig, system: SystemSpec,

@@ -1,8 +1,6 @@
-"""Continuous-batching request scheduler (request-lifecycle layer under load).
+"""Continuous-batching request scheduler: the serving stack's one round loop.
 
-Where :class:`~repro.serving.engine.ServingEngine` serves one request
-end-to-end on a private timeline, the scheduler serves a *stream* of
-timestamped requests on one shared
+The scheduler serves a *stream* of timestamped requests on one shared
 :class:`~repro.system.timeline.ArrayTimeline`, iteration-interleaved in the
 style of Orca's continuous batching:
 
@@ -10,8 +8,9 @@ style of Orca's continuous batching:
 * each scheduling **round** advances every in-flight request by one unit —
   its encoder (prefill) pass the first time, one decoder iteration after —
   so a newly arrived request starts decoding without waiting for older
-  requests to finish; the round's ops are emitted as one
-  :class:`~repro.system.timeline.OpBatch` and committed in one kernel call;
+  requests to finish; :meth:`ContinuousBatchingScheduler.run_round` plans
+  and registers every unit, emits the round's ops as one
+  :class:`~repro.system.timeline.OpBatch` and commits it in one kernel call;
 * within a round, expert transfers are deduplicated across requests via
   :class:`~repro.serving.simulator.SharedExpertRound`: concurrent requests
   that activate the same expert of the same block share a single CPU→GPU
@@ -23,10 +22,14 @@ style of Orca's continuous batching:
   replacement of unpinned entries), so repeat activations skip the CPU→GPU
   link entirely.
 
-The scheduler is built from the same placement + per-iteration-simulation
-layers as the engine, so a one-request workload reproduces the engine's
-``run_request`` timeline *exactly* — the backward-compatibility contract the
-tests pin down to 1e-9.
+The paper's one-request-at-a-time engines
+(:class:`~repro.serving.engine.ServingEngine`) are a front end over a
+batch-1 scheduler: each of their passes is one single-unit
+:meth:`~ContinuousBatchingScheduler.run_round` call on the caller's
+timeline, with per-block latency records read back from the commit.  A
+one-request workload through :meth:`~ContinuousBatchingScheduler.serve`
+therefore reproduces the engine's ``run_request`` timeline exactly (pinned
+to 1e-9 in the tests).
 
 Modelling note: rounds time-multiplex the GPU at decoder-iteration
 granularity (the paper's systems are optimised for per-request batch size 1,
@@ -39,7 +42,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -55,13 +59,68 @@ from ..system.timeline import (_COMPUTE_CODE, ArrayTimeline, OpBatch,
                                Stream, lane_code)
 from ..workloads.arrivals import LoadSpec, TimedRequest, generate_timed_requests
 from ..workloads.generator import WorkloadSpec
-from ..workloads.traces import RequestTrace
-from .engine import EngineConfig, _ENGINES
-from .metrics import LoadTestResult, ServedRequestResult
-from .placement import ModelPlacement
+from ..workloads.traces import IterationActivations, RequestTrace
+from .metrics import (BlockLatencyRecord, LoadTestResult,
+                      ServedRequestResult)
+from .placement import DEFAULT_RUNTIME_WORKSPACE_BYTES, ModelPlacement
 from .prefetch import CrossRequestPrefetcher
 from .simulator import (CAT_EXPERT_TRANSFER, CAT_STAGE_IN, EmittedPass,
                         IterationSimulator, SharedExpertRound)
+
+
+@dataclass
+class EngineConfig:
+    """Tunable knobs shared by all designs."""
+
+    activation_level: int = 1
+    runtime_workspace_bytes: int = DEFAULT_RUNTIME_WORKSPACE_BYTES
+    #: Whether to keep simulating when the GPU pool would be exceeded
+    #: (used by analyses that want to measure how far over budget a design is).
+    allow_oversubscription: bool = False
+
+
+#: The four system designs, with the display names used in reports
+#: (matching the paper's figure legends).
+DESIGN_LABELS = {
+    "gpu_only": "GPU-only",
+    "pregated": "Pre-gated MoE",
+    "ondemand": "MoE-OnDemand",
+    "prefetch_all": "MoE-Prefetch",
+}
+
+
+class RoundUnit(NamedTuple):
+    """One member's pass in a :meth:`ContinuousBatchingScheduler.run_round`."""
+
+    part: str
+    #: Decode step of a decoder iteration (0 for the encoder pass).
+    iteration: int
+    activations: IterationActivations
+    #: Token counts of the part's ``emit_*`` call: ``(query, self-KV,
+    #: cross-KV)`` for a decoder iteration, ``(input,)`` for the encoder.
+    tokens: Tuple[int, ...]
+    #: Arrival time gating the pass's first op (0.0 once scheduled).
+    start_at: float
+    #: Op-name prefix (trace-recording timelines only).
+    label: str
+    #: Op ids the pass must wait for (a carried all-to-all combine).
+    extra_deps: Sequence[int]
+
+
+class CommittedRound(NamedTuple):
+    """What :meth:`ContinuousBatchingScheduler.run_round` returns."""
+
+    batch: OpBatch
+    starts: np.ndarray
+    ends: np.ndarray
+    #: One emitted pass per unit, in unit order.
+    passes: List[EmittedPass]
+    #: Per-unit ``(op_lo, op_hi, route_lo, route_hi)`` slices of the batch
+    #: and the placement's fetch-route log; filled only while the route log
+    #: is installed (span logging).
+    bounds: List[Tuple[int, int, int, int]]
+    #: Per-unit block latency records, when asked for.
+    blocks: Optional[List[List[BlockLatencyRecord]]]
 
 
 @dataclass
@@ -752,8 +811,9 @@ class ContinuousBatchingScheduler:
                  round_replay: bool = True,
                  probe_interval: Optional[float] = None,
                  span_log: bool = False) -> None:
-        if design not in _ENGINES:
-            raise ValueError(f"unknown design {design!r}; known: {sorted(_ENGINES)}")
+        if design not in DESIGN_LABELS:
+            raise ValueError(
+                f"unknown design {design!r}; known: {sorted(DESIGN_LABELS)}")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if probe_interval is not None and probe_interval <= 0:
@@ -945,29 +1005,119 @@ class ContinuousBatchingScheduler:
         return result
 
     # ------------------------------------------------------------------
+    def run_round(self, timeline: ArrayTimeline, units: Sequence[RoundUnit],
+                  block_records: bool = False) -> CommittedRound:
+        """Plan, emit and commit one round of ``units`` as one op batch.
+
+        Every unit's plan is made and registered before any op is emitted,
+        so an expert stays resident until its last user in the round has
+        executed (with a cache, registration also pins the already-resident
+        experts the plans rely on, so no mid-round eviction can invalidate
+        a plan).  The round's ops go into one
+        :class:`~repro.system.timeline.OpBatch`, scheduled by the kernel's
+        single commit.
+
+        With ``block_records`` each unit's per-block latencies are read back
+        from the committed times.  A block's latency runs from the end of
+        its input (the preceding non-MoE op) to the end of the op completing
+        the block; its exposed transfer time is the worst stall of any
+        expert-execution op behind compute-side readiness — the last compute
+        op before execution, or for a remote device the arrival of its
+        dispatched tokens.
+        """
+        simulator = self.simulator
+        placement = self.placement
+        batch_round = (self.prefetcher.begin_round()
+                       if self.prefetcher is not None else SharedExpertRound())
+        plans = []
+        for unit in units:
+            plan = simulator.make_plan(unit.part, unit.activations)
+            batch_round.register_plan(placement, unit.part, plan,
+                                      unit.activations)
+            plans.append(plan)
+        batch = timeline.begin_batch()
+        passes: List[EmittedPass] = []
+        bounds: List[Tuple[int, int, int, int]] = []
+        route_log = placement.route_log
+        try:
+            for unit, plan in zip(units, plans):
+                if route_log is not None:
+                    ops_lo, routes_lo = len(batch.stream), len(route_log)
+                if unit.part == "decoder":
+                    em = simulator.emit_decoder_iteration(
+                        batch, unit.activations, *unit.tokens, unit.iteration,
+                        start_at=unit.start_at, batch_round=batch_round,
+                        label=unit.label, plan=plan,
+                        extra_deps=unit.extra_deps)
+                else:
+                    em = simulator.emit_encoder_pass(
+                        batch, unit.activations, *unit.tokens,
+                        start_at=unit.start_at, batch_round=batch_round,
+                        label=unit.label, plan=plan,
+                        extra_deps=unit.extra_deps)
+                passes.append(em)
+                if route_log is not None:
+                    bounds.append((ops_lo, len(batch.stream), routes_lo,
+                                   len(route_log)))
+        finally:
+            batch_round.drain(placement)
+        starts, ends = timeline.commit_batch(batch)
+        if not block_records:
+            return CommittedRound(batch, starts, ends, passes, bounds, None)
+        starts_at, ends_at = starts.tolist(), ends.tolist()
+        base = batch.base_id
+        devices = batch.device
+        blocks = []
+        for unit, em in zip(units, passes):
+            records = []
+            for (block, num_active, input_id, ready_id, end_id, exec_ids,
+                 dispatch_id) in em.blocks:
+                ready = ends_at[ready_id - base]
+                exposed = 0.0
+                for exec_id in exec_ids:
+                    exec_ready = ready
+                    if dispatch_id >= 0 and devices[exec_id - base] != 0:
+                        exec_ready = max(ready, ends_at[dispatch_id - base])
+                    exposed = max(exposed, starts_at[exec_id - base] - exec_ready)
+                records.append(BlockLatencyRecord(
+                    part=unit.part, iteration=unit.iteration,
+                    block_index=block,
+                    latency=ends_at[end_id - base] - ends_at[input_id - base],
+                    num_active_experts=num_active,
+                    exposed_transfer_time=exposed))
+            blocks.append(records)
+        return CommittedRound(batch, starts, ends, passes, bounds, blocks)
+
     def _run_round_batched(self, timeline: ArrayTimeline,
                            active: Sequence[_InFlightRequest],
                            replay: Optional[_RoundReplay],
                            spans: Optional[SpanLog] = None) -> None:
-        """Advance every in-flight request by one unit as one op batch.
+        """Advance every in-flight request by one unit as one round.
 
-        Every member's plan is made and registered before any op is
-        emitted, so an expert stays resident until its last user in the
-        round has executed (with a cache, registration also pins the
-        already-resident experts the plans rely on, so no mid-round
-        eviction can invalidate a plan).  The round's ops go into one
-        :class:`~repro.system.timeline.OpBatch`, scheduled by the kernel's
-        single commit.  Replay-eligible rounds (pure decode, no carried
+        The round itself is :meth:`run_round`; this wraps it in the request
+        bookkeeping: token times, carried cross-pass deps, spans and the
+        replay record.  Replay-eligible rounds (pure decode, no carried
         cross-pass deps) are recorded for :class:`_RoundReplay`.
         """
-        batch_round = (self.prefetcher.begin_round()
-                       if self.prefetcher is not None else SharedExpertRound())
-        plans = []
+        named = timeline.record_trace
+        units = []
         for state in active:
-            part, activations = self._next_unit(state)
-            plan = self.simulator.make_plan(part, activations)
-            batch_round.register_plan(self.placement, part, plan, activations)
-            plans.append(plan)
+            trace = state.trace
+            timed = state.timed
+            label = f"r{timed.request_id}." if named else ""
+            start_at = (timed.arrival_time
+                        if state.first_scheduled_time is None else 0.0)
+            if state.prefilled:
+                step = state.next_decode
+                units.append(RoundUnit(
+                    "decoder", step, trace.decode_activations[step],
+                    (1, step + 1, trace.input_length), start_at, label,
+                    state.pending_deps))
+            else:
+                units.append(RoundUnit(
+                    "encoder", 0, trace.encoder_activations,
+                    (trace.input_length,), start_at, label,
+                    state.pending_deps))
         # A replay-eligible round is pure decode with no carried deps: every
         # dependency is then intra-batch, no op is arrival-gated, and the
         # round's op columns are a function of the activations alone.
@@ -978,67 +1128,29 @@ class ContinuousBatchingScheduler:
             # Lane clocks as the round found them (the commit advances
             # them); nothing between commits moves a lane.
             lane_free_before = dict(timeline._lane_free)
-        batch = timeline.begin_batch()
-        passes: List[EmittedPass] = []
-        was_decode: List[bool] = []
-        route_log = self.placement.route_log
-        # Per-pass (op_lo, op_hi, route_lo, route_hi) slices of the batch
-        # and the fetch-attribution log, recorded only when span logging.
-        pass_bounds: List[Tuple[int, int, int, int]] = []
-        try:
-            for state, plan in zip(active, plans):
-                label = (f"r{state.timed.request_id}." if batch.record_names
-                         else "")
-                start_at = (state.timed.arrival_time
-                            if state.first_scheduled_time is None else 0.0)
-                if spans is not None:
-                    ops_lo = len(batch.stream)
-                    routes_lo = len(route_log) if route_log is not None else 0
-                if not state.prefilled:
-                    em = self.simulator.emit_encoder_pass(
-                        batch, state.trace.encoder_activations,
-                        state.trace.input_length, start_at=start_at,
-                        batch_round=batch_round, label=label, plan=plan,
-                        extra_deps=state.pending_deps)
-                    state.prefilled = True
-                    was_decode.append(False)
-                else:
-                    step = state.next_decode
-                    em = self.simulator.emit_decoder_iteration(
-                        batch, state.trace.decode_activations[step],
-                        query_tokens=1, self_kv_tokens=step + 1,
-                        cross_kv_tokens=state.trace.input_length,
-                        iteration=step, start_at=start_at,
-                        batch_round=batch_round, label=label, plan=plan,
-                        extra_deps=state.pending_deps)
-                    state.next_decode += 1
-                    was_decode.append(True)
-                passes.append(em)
-                if spans is not None:
-                    pass_bounds.append((
-                        ops_lo, len(batch.stream), routes_lo,
-                        len(route_log) if route_log is not None else 0))
-        finally:
-            batch_round.drain(self.placement)
-        starts, ends = timeline.commit_batch(batch)
-        for state, em, decoded in zip(active, passes, was_decode):
-            if decoded:
+        batch, starts, ends, passes, bounds, _ = self.run_round(timeline,
+                                                                units)
+        for state, em in zip(active, passes):
+            if state.prefilled:
                 state.token_times.append(float(ends[em.last_index]))
+                state.next_decode += 1
+            else:
+                state.prefilled = True
             state.pending_deps = list(em.carry_deps)
             if state.first_scheduled_time is None:
                 state.first_scheduled_time = float(starts[em.first_index])
         if spans is not None:
-            for state, em, decoded, bounds in zip(active, passes, was_decode,
-                                                  pass_bounds):
-                # next_decode was already advanced above for decode passes.
-                iteration = state.next_decode - 1 if decoded else 0
+            route_log = self.placement.route_log
+            for state, unit, em, pass_bounds in zip(active, units, passes,
+                                                    bounds):
                 spans.record_pass(
                     state.timed.request_id,
-                    SPAN_DECODE if decoded else SPAN_PREFILL, iteration,
+                    SPAN_DECODE if unit.part == "decoder" else SPAN_PREFILL,
+                    unit.iteration,
                     float(starts[em.first_index]), float(ends[em.last_index]),
-                    self._pass_fetches(batch, starts, ends, bounds, route_log))
-            if route_log is not None:
-                del route_log[:]
+                    self._pass_fetches(batch, starts, ends, pass_bounds,
+                                       route_log))
+            del route_log[:]
         if replay is None:
             return
         if not eligible or (batch.dep_ids
@@ -1120,11 +1232,6 @@ class ContinuousBatchingScheduler:
                            if replay is not None else 0))
         reg.gauge("timeline_ops").sample(now, float(timeline.num_ops))
         probes.mark_sampled(now)
-
-    def _next_unit(self, state: _InFlightRequest):
-        if not state.prefilled:
-            return "encoder", state.trace.encoder_activations
-        return "decoder", state.trace.decode_activations[state.next_decode]
 
     def _finalise(self, state: _InFlightRequest, replica: int) -> ServedRequestResult:
         trace = state.trace

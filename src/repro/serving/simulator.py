@@ -9,9 +9,9 @@ when the batch is committed.  The simulator is deliberately stateless
 across calls so that a request scheduler can interleave iterations from
 *different* in-flight requests into one round batch on a shared timeline
 (continuous batching) — the per-request lifecycle state lives in the caller
-(:class:`~repro.serving.engine.ServingEngine` for the one-request-at-a-time
-path, :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
-batched path).
+(:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, whose round
+function also serves the one-request-at-a-time
+:class:`~repro.serving.engine.ServingEngine`).
 
 Every pass belongs to a round (a :class:`SharedExpertRound`, or with a cache
 a :class:`~repro.serving.prefetch.PrefetchRound`), which owns the slots of

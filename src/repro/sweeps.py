@@ -15,7 +15,7 @@ serial one.  The same pattern serves
 :meth:`repro.serving.cluster.ReplicaCluster.serve`'s per-replica loop.
 
 This module lives in the installed package (``repro.sweeps``) so the CLI
-can use it; ``benchmarks/sweeps.py`` re-exports it for the benchmark files.
+and the benchmark files use the same grids.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Tests for the four serving engines and their interaction with the simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.moe import get_config
@@ -136,6 +139,26 @@ class TestDecoderIteration:
             [(op.start, op.end) for op in reference.ops]
         assert timeline.exposed_copy_time() == pytest.approx(
             reference.exposed_copy_time(), abs=1e-9)
+
+    def test_per_pass_calls_release_the_callers_timeline(self):
+        """Consecutive passes on one 2-GPU timeline wait for the trailing
+        all-to-all combine, and the engine holds no reference to the
+        timeline once the caller drops it."""
+        # The last expert lives on the second GPU (contiguous shards), so
+        # every block ends in a combine back to the first.
+        activations = [(CONFIG.num_experts - 1,)] * CONFIG.num_moe_blocks("decoder")
+        engine = make_engine("pregated", CONFIG, num_gpus=2)
+        timeline = ArrayTimeline(record_trace=True)
+        engine.run_encoder_pass(activations, 4, timeline=timeline)
+        combine = timeline.ops[-1]
+        assert combine.category == "alltoall"
+        encoder_ops = timeline.num_ops
+        engine.run_decoder_iteration(activations, timeline=timeline)
+        assert combine.op_id in timeline.ops[encoder_ops].depends_on
+        alive = weakref.ref(timeline)
+        del timeline
+        gc.collect()
+        assert alive() is None
 
     def test_block_latency_ordering_matches_figure_10(self, single_iteration):
         """GPU-only < Pre-gated < OnDemand << Prefetch-all, per MoE block."""
