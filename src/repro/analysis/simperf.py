@@ -76,18 +76,15 @@ FULL_SIZES: Dict[int, Sequence[str]] = {
 DEFAULT_REQUESTS = 400
 QUICK_REQUESTS = 120
 
-#: Placement rungs: kernel vs kernel+replay on the placements replay
-#: newly covers — expert caches and multi-GPU shards.  Replay needs the
-#: hit/miss outcomes and owner-device patterns to repeat, so these rungs
-#: route with a strongly skewed (hot-expert) distribution and longer
-#: generations: the cache-effective steady state of the Figure 15 study.
+#: Placement rung: kernel vs kernel+replay on multi-GPU shards.  Replay
+#: needs the owner-device pattern to repeat, so the rung routes with a
+#: strongly skewed (hot-expert) distribution and longer generations.
+#: Replay stands down on expert caches and DRAM stages, so no cached
+#: placement has a rung.
 PLACEMENT_SKEW = 12.0
 PLACEMENT_OUTPUT_LENGTH = 192
 PLACEMENTS: Dict[str, Dict[str, object]] = {
-    "cached_hot": {"cache_policy": "lru", "cache_capacity": 256},
     "multi_gpu_hot": {"num_gpus": 2, "shard_policy": "round_robin"},
-    "cached_2gpu": {"cache_policy": "lru", "cache_capacity": 256,
-                    "num_gpus": 2, "shard_policy": "round_robin"},
 }
 PLACEMENT_REQUESTS_FULL = 400
 PLACEMENT_REQUESTS_DEFAULT = 200
@@ -148,7 +145,7 @@ def measure_mode(mode: str, requests: Sequence[TimedRequest],
     Only :meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.serve`
     is inside the timed region — scheduler construction and request
     generation are shared setup, identical across modes.
-    ``scheduler_kwargs`` layers placement knobs (cache, shards) on top of
+    ``scheduler_kwargs`` layers placement knobs (shards) on top of
     the mode's engine knobs for the placement rungs.
     """
     knobs = MODES[mode]
@@ -186,8 +183,8 @@ def run_simperf(quick: bool = False, full: bool = False,
     serves :data:`DEFAULT_REQUESTS` through all four; ``full`` runs the recorded
     1.6k/16k/100k/1M scaling ladder of :data:`FULL_SIZES` (minutes of wall
     time — the artifact-regeneration path, not a CI job).  Every shape also
-    runs the :data:`PLACEMENTS` rungs (kernel vs kernel+replay on cached /
-    multi-GPU placements in the hot-expert regime).
+    runs the :data:`PLACEMENTS` rung (kernel vs kernel+replay on a
+    multi-GPU placement in the hot-expert regime).
     """
     if full:
         sizes = dict(FULL_SIZES)

@@ -14,7 +14,7 @@ CI runs and the quickest way to see the simulator end-to-end without pytest:
 * ``simperf`` — the simulator's own performance (simulated requests per
   wall-clock second, peak resident op count) across the serving-engine
   modes (trace / kernel / kernel+replay / kernel+probes) plus the
-  cached / multi-GPU placement rungs; ``--full`` runs the recorded
+  multi-GPU placement rung; ``--full`` runs the recorded
   1.6k/16k/100k/1M scaling ladder and rewrites ``BENCH_simperf.json``,
   and quick runs fail if any mode's throughput drops below its recorded
   floor or replay fails to engage on a placement rung (the CI perf
@@ -229,9 +229,9 @@ def run_simperf_sweep(quick: bool, workers: Optional[int] = None,
                     f"simperf regression: {mode} mode served {measured:.1f} "
                     f"sim req/s at {size} requests, below the recorded floor "
                     f"of {floor:.1f} (see {SIMPERF_FILENAME})")
-    # The placement rungs exist to prove replay covers cached / multi-GPU
-    # serving: a rung where no window fires is a regression even if the
-    # throughput floor holds.
+    # The placement rung exists to prove replay covers multi-GPU serving:
+    # a rung where no window fires is a regression even if the throughput
+    # floor holds.
     for name, rung in payload["placements"].items():
         if rung["kernel_replay"]["replay_windows"] <= 0:
             raise SystemExit(

@@ -80,11 +80,10 @@ class ServingEngine:
         self.placement = self.scheduler.placement
         self.residency = self.scheduler.residency
         self.simulator = self.scheduler.simulator
-        # The last pass's timeline (held weakly, so a caller's timeline is
-        # not kept alive) and the op ids its next pass must wait for: the
-        # trailing all-to-all combine on expert-parallel replicas.
-        self._pending_timeline = None
-        self._pending_deps: List[int] = []
+        # Per timeline (held weakly, so a caller's timeline is not kept
+        # alive), the op ids its next pass must wait for: the trailing
+        # all-to-all combine on expert-parallel replicas.
+        self._pending = weakref.WeakKeyDictionary()
 
     @property
     def memory(self) -> MemoryHierarchy:
@@ -112,15 +111,12 @@ class ServingEngine:
         """Run one pass as a one-unit round on ``timeline`` (a fresh one if None)."""
         self.load_model()
         timeline = timeline if timeline is not None else ArrayTimeline()
-        carried = (self._pending_timeline is not None
-                   and self._pending_timeline() is timeline)
         unit = RoundUnit(part, iteration, activations, tokens, 0.0, "",
-                         self._pending_deps if carried else ())
+                         self._pending.get(timeline, ()))
         start = timeline.makespan
         committed = self.scheduler.run_round(timeline, [unit],
                                              block_records=True)
-        self._pending_timeline = weakref.ref(timeline)
-        self._pending_deps = list(committed.passes[0].carry_deps)
+        self._pending[timeline] = list(committed.passes[0].carry_deps)
         return IterationResult(part=part, iteration=iteration,
                                duration=timeline.makespan - start,
                                block_latencies=committed.blocks[0])

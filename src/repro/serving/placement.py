@@ -372,12 +372,6 @@ class ShardedPlacement:
         self._expert_bytes = config.expert_bytes()
         self._loaded = False
         self._expert_seq = 0
-        # Round replay walks the residency-style maps (per-device GPU
-        # residency shards, then per-device DRAM stage shards) in a fixed
-        # order for counter snapshots and fast-forwards.
-        self._replay_maps = (
-            [s.residency for s in self.shards if s.residency is not None]
-            + [s.stage for s in self.shards if s.stage is not None])
 
         if config.is_moe:
             self.encoder_moe_positions = _moe_layer_positions(
@@ -434,94 +428,26 @@ class ShardedPlacement:
         delta equality before fast-forwarding, and bump by ``n * delta``
         without floating-point drift.  Order is fixed: the
         :class:`~repro.system.tiers.TierTransferStats` fields, the all-to-all
-        byte counter, per-device fetched bytes, then the
-        :class:`~repro.system.residency.ResidencyStats` counters of every
-        residency-style map (GPU residency shards, then DRAM stage shards).
+        byte counter, then per-device fetched bytes.  Replay never runs on a
+        placement with a residency map, so no map counter appears here.
         """
-        counters = (*self.transfers.replay_counters(), self.alltoall_bytes,
-                    *self.device_fetch_bytes)
-        for res in self._replay_maps:
-            counters += res.replay_stats_counters()
-        return counters
+        return (*self.transfers.replay_counters(), self.alltoall_bytes,
+                *self.device_fetch_bytes)
 
-    def replay_fast_forward(self, num_rounds: int, delta: Sequence[int],
-                            residency_deltas: Sequence[tuple] = ()) -> None:
+    def replay_fast_forward(self, num_rounds: int,
+                            delta: Sequence[int]) -> None:
         """Advance the counters by ``num_rounds`` identical rounds' worth.
 
         ``delta`` is the per-round difference of :meth:`replay_counters`
         the replay controller verified to be constant across its recorded
-        window; ``residency_deltas`` is the per-map policy delta returned by
-        :meth:`replay_residency_window`.  Replayed rounds allocate and free
-        the same expert slots the recorded rounds did, so memory state and
-        peaks are already exact.
+        window.  Replayed rounds allocate and free the same expert slots the
+        recorded rounds did, so memory state and peaks are already exact.
         """
         width = TierTransferStats.REPLAY_WIDTH
         self.transfers.replay_fast_forward(num_rounds, delta[:width])
         self.alltoall_bytes += num_rounds * delta[width]
-        cursor = width + 1
-        for device in range(len(self.device_fetch_bytes)):
-            self.device_fetch_bytes[device] += num_rounds * delta[cursor]
-            cursor += 1
-        if not self._replay_maps:
-            return
-        if not residency_deltas:
-            residency_deltas = [()] * len(self._replay_maps)
-        for res, policy_delta in zip(self._replay_maps, residency_deltas):
-            res.replay_fast_forward(num_rounds, delta[cursor:cursor + 5],
-                                    policy_delta)
-            cursor += 5
-
-    # ------------------------------------------------------------------
-    # Round-replay residency state
-    # ------------------------------------------------------------------
-    @property
-    def replay_retentive(self) -> bool:
-        """Whether any residency-style map retains state across rounds.
-
-        When it does, replay signatures must pin *actual* expert ids, not
-        anonymised collision patterns: identity-sensitive policy state (LRU
-        order, LFU counts) evolves per key, so two rounds that collide
-        identically but touch different experts are not interchangeable.
-        """
-        return any(res.capacity > 0 for res in self._replay_maps)
-
-    def replay_epoch(self) -> int:
-        """Monotone counter of resident-set changes across every map."""
-        return sum(res.epoch for res in self._replay_maps)
-
-    def replay_outcome(self, key: Tuple[int, int]) -> int:
-        """Structure-deciding residency outcome one expert access will see.
-
-        ``0``: no maps in play (plain fetch path).  ``1``: GPU-resident —
-        the migration plan skips the fetch entirely.  ``2``: fetched with no
-        DRAM stage.  ``3``: fetched, stage hit (PCIe hop only).  ``4``:
-        fetched, stage miss (SSD read + stage-in op).
-        """
-        shard = self.shards[self.owner_device(key[1])]
-        if shard.residency is not None and key in shard.residency:
-            return 1
-        if shard.stage is not None:
-            return 3 if key in shard.stage else 4
-        return 2 if shard.residency is not None else 0
-
-    def replay_residency_state(self) -> tuple:
-        """Per-map behavioural snapshots for one round record."""
-        return tuple(res.replay_state() for res in self._replay_maps)
-
-    def replay_residency_window(self, states: Sequence[tuple]) -> "tuple | None":
-        """Verify every map is exactly replayable across a round window.
-
-        Returns the per-map policy deltas for
-        :meth:`replay_fast_forward`, or ``None`` when any map must stand
-        down (drifting resident set or non-constant policy delta).
-        """
-        deltas = []
-        for i, res in enumerate(self._replay_maps):
-            delta = res.replay_window_delta([s[i] for s in states])
-            if delta is None:
-                return None
-            deltas.append(delta)
-        return tuple(deltas)
+        for device, per_round in enumerate(delta[width + 1:]):
+            self.device_fetch_bytes[device] += num_rounds * per_round
 
     def fetch_imbalance(self,
                         since: Optional[Sequence[int]] = None) -> Optional[float]:

@@ -20,7 +20,11 @@ style of Orca's continuous batching:
   map through a :class:`~repro.serving.prefetch.CrossRequestPrefetcher`:
   hot experts stay resident *across* rounds and requests (LIFO/LRU/LFU
   replacement of unpinned entries), so repeat activations skip the CPU→GPU
-  link entirely.
+  link entirely;
+* runs of structurally identical decode rounds are fast-forwarded in closed
+  form by round replay (:class:`_RoundReplay`), exactly, on placements
+  without a residency map; with an expert cache or DRAM stage every round
+  is simulated.
 
 The paper's one-request-at-a-time engines
 (:class:`~repro.serving.engine.ServingEngine`) are a front end over a
@@ -152,11 +156,9 @@ class _RoundRecord:
     """Everything round replay needs about one executed decode round.
 
     Captured by the round path when the round is replay-eligible
-    (decode-only, no carried cross-pass deps).  Rounds on placements with
-    GPU residency or DRAM stage maps are recorded too: the maps' state
-    rides :attr:`residency_state`, which the window check requires to be
-    a per-round fixed point.  The :class:`~repro.system.timeline.OpBatch`
-    is kept by reference — its columns are the round's structural template.
+    (decode-only, no carried cross-pass deps).  The
+    :class:`~repro.system.timeline.OpBatch` is kept by reference — its
+    columns are the round's structural template.
     """
 
     base_id: int
@@ -176,9 +178,6 @@ class _RoundRecord:
     #: :meth:`ModelPlacement.replay_counters` taken after the round.
     counters: Tuple[int, ...]
     peak_gpu_bytes: int
-    #: :meth:`ModelPlacement.replay_residency_state` taken after the round
-    #: (``()`` for placements with no residency-style maps).
-    residency_state: tuple = ()
 
 
 def _quad_coeffs(v0: float, v1: float, v2: float) -> Tuple[float, float, float]:
@@ -251,13 +250,12 @@ class _RoundReplay:
     #: Why :meth:`try_apply` stood down, in the order it checks: the round's
     #: requests are not the recorded ones, a request is on its last decode,
     #: the round structure changes too soon, durations are not affine,
-    #: counters do not tick identically, the GPU peak moved, a residency
-    #: map is not replayable, the roofline leaves its branch, an op's
-    #: schedule argmax flips, or the next arrival would be admitted.
+    #: counters do not tick identically, the GPU peak moved, the roofline
+    #: leaves its branch, an op's schedule argmax flips, or the next
+    #: arrival would be admitted.
     STANDDOWN_REASONS = ("request_identity", "completion_bound", "signature",
                          "durations", "counters", "peak_bytes",
-                         "residency_window", "roofline_branch",
-                         "crossing_horizon", "arrival")
+                         "roofline_branch", "crossing_horizon", "arrival")
 
     def __init__(self, scheduler: "ContinuousBatchingScheduler") -> None:
         self.scheduler = scheduler
@@ -265,18 +263,6 @@ class _RoundReplay:
         self.simulator = scheduler.simulator
         self.history: deque = deque(maxlen=self.HISTORY)
         self.cooldown = 0
-        # Residency-aware signature configuration: with residency/stage maps
-        # in play, each expert access's hit/miss outcome shapes the round
-        # (resident experts drop out of migration plans; stage hits skip the
-        # SSD read op), so the outcome joins the signature.  Retentive maps
-        # (capacity > 0) additionally pin *raw* expert ids: their policy
-        # state (LRU order, LFU counts) evolves per key, so anonymised
-        # collision patterns are not interchangeable across rounds.
-        self._has_maps = bool(self.placement._replay_maps)
-        self._outcome = self.placement.replay_outcome
-        self._raw_keys = self.placement.replay_retentive
-        self._epoch = self.placement.replay_epoch
-        self._decoder_gblock = self.placement.global_block_index("decoder", 0)
         # Telemetry (copied into the LoadTestResult by serve()).
         self.windows = 0
         self.rounds = 0
@@ -336,55 +322,17 @@ class _RoundReplay:
         return sig
 
     def _step_signature(self, state: _InFlightRequest, step: int) -> Tuple:
-        """Canonical structure of one request's decode step, cached.
-
-        Expert ids are anonymised to first-occurrence indices (the dedup
-        collision pattern is what shapes the round, not the ids); shard
-        ownership is included on multi-GPU replicas because it routes the
-        fetch lanes.  With residency/stage maps each access's predicted
-        hit/miss outcome is folded in (it decides whether fetch/stage ops
-        exist at all), and retentive maps switch the signature to raw
-        expert ids — see ``__init__``.  The memo is epoch-guarded: any
-        resident-set change invalidates previously computed signatures.
-        """
+        """Canonical structure of one request's decode step, memoised."""
         cache = state.step_sigs
-        has_maps = self._has_maps
-        epoch = self._epoch() if has_maps else 0
-        cached = cache.get(step)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        multi = self.simulator.multi_device
-        acts = state.trace.decode_activations[step]
-        if not multi and not has_maps and all(len(e) == 1 for e in acts):
-            sig = self._top1_signature(len(acts))
-            cache[step] = (epoch, sig)
-            return sig
-        owner = self.placement.owner_device
-        outcome = self._outcome
-        raw = self._raw_keys
-        gblock = self._decoder_gblock
-        seen: Dict[Tuple[int, int], int] = {}
-        counter = 0
-        parts = []
-        for block, experts in enumerate(acts):
-            entry = [len(experts)]
-            for expert in experts:
-                expert = int(expert)
-                if raw:
-                    entry.append(expert)
-                else:
-                    idx = seen.get((block, expert))
-                    if idx is None:
-                        seen[(block, expert)] = idx = counter
-                        counter += 1
-                    entry.append(idx)
-                if multi:
-                    entry.append(owner(expert))
-                if has_maps:
-                    entry.append(outcome((gblock + block, expert)))
-            parts.append(tuple(entry))
-        sig = tuple(parts)
-        cache[step] = (epoch, sig)
+        sig = cache.get(step)
+        if sig is None:
+            acts = state.trace.decode_activations[step]
+            if (not self.simulator.multi_device
+                    and all(len(e) == 1 for e in acts)):
+                sig = self._top1_signature(len(acts))
+            else:
+                sig = self._signature([acts])
+            cache[step] = sig
         return sig
 
     def _round_signature(self, active: Sequence[_InFlightRequest],
@@ -399,33 +347,33 @@ class _RoundReplay:
         if len(active) == 1:
             state = active[0]
             return self._step_signature(state, state.next_decode + offset)
+        return self._signature([
+            state.trace.decode_activations[state.next_decode + offset]
+            for state in active])
+
+    def _signature(self, passes: Sequence[IterationActivations]) -> Tuple:
+        """Canonical structure of one round's decode passes.
+
+        Expert ids are anonymised to first-occurrence indices (the dedup
+        collision pattern is what shapes the round, not the ids); shard
+        ownership is included on multi-GPU replicas because it routes the
+        fetch lanes.
+        """
         multi = self.simulator.multi_device
         owner = self.placement.owner_device
-        has_maps = self._has_maps
-        outcome = self._outcome
-        raw = self._raw_keys
-        gblock = self._decoder_gblock
         seen: Dict[Tuple[int, int], int] = {}
-        counter = 0
         parts = []
-        for state in active:
-            acts = state.trace.decode_activations[state.next_decode + offset]
+        for acts in passes:
             for block, experts in enumerate(acts):
                 entry = [len(experts)]
                 for expert in experts:
                     expert = int(expert)
-                    if raw:
-                        entry.append(expert)
-                    else:
-                        idx = seen.get((block, expert))
-                        if idx is None:
-                            seen[(block, expert)] = idx = counter
-                            counter += 1
-                        entry.append(idx)
+                    idx = seen.get((block, expert))
+                    if idx is None:
+                        seen[(block, expert)] = idx = len(seen)
+                    entry.append(idx)
                     if multi:
                         entry.append(owner(expert))
-                    if has_maps:
-                        entry.append(outcome((gblock + block, expert)))
                 parts.append(tuple(entry))
         return tuple(parts)
 
@@ -468,13 +416,6 @@ class _RoundReplay:
             return self._stand_down("counters")
         if len({r.peak_gpu_bytes for r in records}) != 1:
             return self._stand_down("peak_bytes")
-        # ---- residency maps exactly replayable over the window -------
-        residency_deltas: tuple = ()
-        if self._has_maps:
-            residency_deltas = self.placement.replay_residency_window(
-                [r.residency_state for r in records])
-            if residency_deltas is None:
-                return self._stand_down("residency_window")
         # ---- duration model still on the recorded roofline branch ----
         n = self._duration_model_bound(active, records, diff, n)
         if n < 1:
@@ -488,7 +429,7 @@ class _RoundReplay:
             n = self._arrival_bound(records, pending[0].arrival_time, n)
             if n < 1:
                 return self._stand_down("arrival")
-        self._apply(timeline, active, records, n, residency_deltas)
+        self._apply(timeline, active, records, n)
         return True
 
     def _stand_down(self, reason: str, cool: bool = True) -> bool:
@@ -656,8 +597,7 @@ class _RoundReplay:
     # ------------------------------------------------------------------
     def _apply(self, timeline: ArrayTimeline,
                active: List[_InFlightRequest],
-               records: List[_RoundRecord], n: int,
-               residency_deltas: tuple = ()) -> None:
+               records: List[_RoundRecord], n: int) -> None:
         r0, r1, r2, r3 = records
         m = np.arange(1, n + 1, dtype=np.float64)
 
@@ -719,8 +659,7 @@ class _RoundReplay:
             category_count=accumulate_exact("category_count", int),
             category_duration=accumulate("category_duration"),
             category_bytes=accumulate_exact("category_bytes", float))
-        self.placement.replay_fast_forward(n, counter_delta,
-                                           residency_deltas)
+        self.placement.replay_fast_forward(n, counter_delta)
         self.windows += 1
         self.rounds += n
         self.ops += n * r3.num_ops
@@ -776,7 +715,9 @@ class ContinuousBatchingScheduler:
         form (see :class:`_RoundReplay`).  Exact by construction: replay
         only applies when the extrapolation provably matches what
         step-by-step execution would produce.  Stands down (never fires)
-        with trace recording or span logging.
+        with trace recording, span logging, or an expert cache or DRAM
+        stage on the placement (``cache_capacity`` / ``stage_capacity``
+        set, even to 0).
     probe_interval:
         Enable the sampled probe layer: every ``probe_interval`` simulated
         seconds (measured at round boundaries — see
@@ -850,7 +791,8 @@ class ContinuousBatchingScheduler:
         #: aggregate inspection; a full op trace only with ``record_trace``).
         self.last_timeline: Optional[ArrayTimeline] = None
         #: Replay controller of the most recent :meth:`serve` call (None
-        #: when the configuration makes replay ineligible).
+        #: when the configuration makes replay ineligible: replay off, trace
+        #: recording, span logging, or a residency map on the placement).
         self.last_replay: Optional[_RoundReplay] = None
 
     def __getstate__(self):
@@ -899,14 +841,16 @@ class ContinuousBatchingScheduler:
 
         timeline = ArrayTimeline(record_trace=self.record_trace)
         self.last_timeline = timeline
-        # Round replay needs no trace/span rows to materialise.  Cached,
-        # staged and multi-GPU placements are handled by the signature
-        # itself: residency hit/miss outcomes and shard ownership join the
-        # round signature, and the controller only fast-forwards windows
-        # over which every map's resident set is a fixed point and its
-        # policy state advances by an identical replayable delta each round.
+        # Round replay needs no trace/span rows to materialise, and no
+        # residency map: a GPU expert cache or DRAM stage (even capacity 0)
+        # keeps per-key state a skipped round would have to advance, so
+        # replay stands down up front on such placements.  Multi-GPU shards
+        # are handled by the signature, which carries each expert's owner.
         replay: Optional[_RoundReplay] = None
-        if self.round_replay and not self.record_trace and not self.span_log:
+        mapped = any(s.residency is not None or s.stage is not None
+                     for s in self.placement.shards)
+        if (self.round_replay and not self.record_trace and not self.span_log
+                and not mapped):
             replay = _RoundReplay(self)
         self.last_replay = replay
         probes = (ServingProbes(self.probe_interval)
@@ -1166,8 +1110,7 @@ class ContinuousBatchingScheduler:
             lane_free_before=lane_free_before,
             snapshot=timeline.replay_snapshot(),
             counters=self.placement.replay_counters(),
-            peak_gpu_bytes=self.placement.peak_gpu_bytes,
-            residency_state=self.placement.replay_residency_state()))
+            peak_gpu_bytes=self.placement.peak_gpu_bytes))
 
     def _pass_fetches(self, batch: OpBatch, starts: np.ndarray,
                       ends: np.ndarray, bounds: Tuple[int, int, int, int],

@@ -8,11 +8,15 @@ policies behind a common :class:`EvictionPolicy` interface keyed by
 ``(moe_block_index, expert_id)`` — each MoE block has its own experts, so
 cache entries are per-block.  The cache is
 :class:`~repro.system.residency.ExpertResidency`.
+
+A policy is only its four hooks: the scheduler's round replay stands down on
+any placement with a cache, so every round that touches a policy runs for
+real and no policy state is ever snapshotted or fast-forwarded.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional, Tuple
+from typing import Collection, Dict, Tuple
 
 ExpertKey = Tuple[int, int]  # (moe_block_index, expert_id)
 
@@ -41,28 +45,6 @@ class EvictionPolicy:
         """
         raise NotImplementedError
 
-    # -- round-replay protocol ------------------------------------------
-    # Steady-state round replay skips scheduling rounds analytically, so a
-    # policy must be able to (1) snapshot the state that decides future
-    # evictions, (2) certify that one skipped round would change that state
-    # in a way that is exactly repeatable, and (3) apply n rounds' worth of
-    # that change in one step.  Order-based policies (LIFO/LRU) only qualify
-    # when the per-round state change is a fixed point (no change at all);
-    # count-based policies (LFU) additionally qualify when every key's count
-    # grows by the same amount each round (the n*delta fast-forward).
-
-    def replay_state(self) -> Tuple:
-        """Hashable snapshot of the eviction-deciding state."""
-        return ()
-
-    def replay_delta(self, prev: Tuple, cur: Tuple) -> Optional[Tuple]:
-        """Per-round state change between two snapshots; ``None`` if a
-        window of such rounds cannot be fast-forwarded exactly."""
-        return () if prev == cur else None
-
-    def replay_fast_forward(self, num_rounds: int, delta: Tuple) -> None:
-        """Apply ``num_rounds`` rounds' worth of a verified ``delta``."""
-
 
 class LIFOPolicy(EvictionPolicy):
     """Last-in-first-out replacement (the expert-buffering proposal of [14])."""
@@ -89,9 +71,6 @@ class LIFOPolicy(EvictionPolicy):
                 return key
         return list(candidates)[-1]
 
-    def replay_state(self) -> Tuple:
-        return tuple(self._stack)
-
 
 class LRUPolicy(EvictionPolicy):
     """Least-recently-used replacement."""
@@ -99,8 +78,7 @@ class LRUPolicy(EvictionPolicy):
     name = "lru"
 
     def __init__(self) -> None:
-        # Oldest first.  A plain dict re-inserts as fast as OrderedDict
-        # moves, and snapshots (replay_state) copy several times faster.
+        # Oldest first; a plain dict re-inserts as fast as OrderedDict moves.
         self._order: Dict[ExpertKey, None] = {}
 
     def on_insert(self, key: ExpertKey) -> None:
@@ -121,9 +99,6 @@ class LRUPolicy(EvictionPolicy):
             if key in candidates:
                 return key
         return next(iter(candidates))
-
-    def replay_state(self) -> Tuple:
-        return tuple(self._order)
 
 
 class LFUPolicy(EvictionPolicy):
@@ -147,23 +122,6 @@ class LFUPolicy(EvictionPolicy):
         # A scan, but only per eviction; ties go to the earliest candidate.
         counts = self._counts
         return min(candidates, key=lambda k: counts.get(k, 0))
-
-    def replay_state(self) -> Tuple:
-        return tuple(sorted(self._counts.items()))
-
-    def replay_delta(self, prev: Tuple, cur: Tuple) -> Optional[Tuple]:
-        # Access counts grow monotonically, so a fixed point is the rare
-        # case — but a steady round bumps every key by a constant amount,
-        # which extrapolates exactly as long as the key set is stable.
-        if tuple(k for k, _ in prev) != tuple(k for k, _ in cur):
-            return None
-        return tuple((key, after - before)
-                     for (key, before), (_, after) in zip(prev, cur))
-
-    def replay_fast_forward(self, num_rounds: int, delta: Tuple) -> None:
-        for key, per_round in delta:
-            if per_round and key in self._counts:
-                self._counts[key] += num_rounds * per_round
 
 
 _POLICIES = {

@@ -32,6 +32,10 @@ contract the tests pin down).
 The map is *tier-aware* in that it records which offload tier
 (``dram``/``ssd``) backs the misses it charges, so reports can attribute
 saved bytes to the link they would have crossed.
+
+The map has no round-replay hooks: the scheduler's closed-form replay stands
+down up front on any placement with a GPU residency map or DRAM stage (even
+at capacity 0), so every pin and release is executed.
 """
 
 from __future__ import annotations
@@ -186,9 +190,6 @@ class ExpertResidency:
         self._by_block: Dict[int, Dict[int, None]] = {}
         self._unpinned = _UnpinnedView(self._tags, self._pins)
         self._seq = 0
-        #: Bumped on every insert and drop — round replay uses it to
-        #: invalidate signature memos that folded in residency outcomes.
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -244,7 +245,6 @@ class ExpertResidency:
             return True
         self._make_room()
         self._seq += 1
-        self.epoch += 1
         tag = f"{self.tag_prefix}:{key[0]}:{key[1]}:{self._seq}"
         self.pool.allocate(tag, self.expert_bytes, category=self.category,
                            allow_oversubscribe=self.allow_oversubscription)
@@ -290,65 +290,6 @@ class ExpertResidency:
         return dropped
 
     # ------------------------------------------------------------------
-    # Round-replay protocol
-    # ------------------------------------------------------------------
-    # Steady-state round replay (serving/scheduler.py) fast-forwards windows
-    # of structurally identical decode rounds without executing them.  With
-    # a residency map in play that is only exact when the map's *future
-    # behaviour* is unaffected by the skip: the resident set and pin counts
-    # must be a per-round fixed point, and the eviction policy's state must
-    # advance by an identical, replayable delta each round (zero for
-    # LIFO/LRU order, a constant per-key count bump for LFU).  The integer
-    # stats counters then extrapolate as exact ``n * delta`` sums.
-
-    def replay_state(self) -> tuple:
-        """Snapshot of everything that decides this map's future behaviour.
-
-        The resident set and the pinned keys' counts are unordered sets:
-        two snapshots are equal exactly when every key has the same pins,
-        which is all :meth:`replay_window_delta` compares, without sorting.
-        """
-        return ((frozenset(self._tags), frozenset(self._pins.items())),
-                self.policy.replay_state(),
-                self.stats.peak_resident_experts)
-
-    def replay_window_delta(self, states: List[tuple]) -> "tuple | None":
-        """Verify a window of per-round snapshots is exactly replayable.
-
-        Returns the (possibly empty) per-round policy delta to pass to
-        :meth:`replay_fast_forward`, or ``None`` when the window must stand
-        down: resident set / pins / peak drifting, or a policy state change
-        that is not the same replayable delta every round.
-        """
-        first = states[0]
-        for state in states[1:]:
-            if state[0] != first[0] or state[2] != first[2]:
-                return None
-        deltas = [self.policy.replay_delta(a[1], b[1])
-                  for a, b in zip(states, states[1:])]
-        if deltas[0] is None or any(d != deltas[0] for d in deltas[1:]):
-            return None
-        return deltas[0]
-
-    def replay_stats_counters(self) -> tuple:
-        """Integer stat counters replay bumps by exact per-round deltas."""
-        s = self.stats
-        return (s.hits, s.misses, s.evictions, s.bytes_transferred,
-                s.bytes_saved)
-
-    def replay_fast_forward(self, num_rounds: int, stats_delta: tuple,
-                            policy_delta: tuple) -> None:
-        """Advance stats and policy state by ``num_rounds`` verified rounds."""
-        hits, misses, evictions, transferred, saved = stats_delta
-        s = self.stats
-        s.hits += num_rounds * hits
-        s.misses += num_rounds * misses
-        s.evictions += num_rounds * evictions
-        s.bytes_transferred += num_rounds * transferred
-        s.bytes_saved += num_rounds * saved
-        self.policy.replay_fast_forward(num_rounds, policy_delta)
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _evict_one(self) -> bool:
@@ -361,7 +302,6 @@ class ExpertResidency:
     def _drop(self, key: ExpertKey, count_eviction: bool) -> None:
         tag = self._tags.pop(key)
         del self._by_block[key[0]][key[1]]
-        self.epoch += 1
         self.policy.on_evict(key)
         if self.pool.has(tag):
             self.pool.free(tag)

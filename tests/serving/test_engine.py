@@ -160,6 +160,20 @@ class TestDecoderIteration:
         gc.collect()
         assert alive() is None
 
+    def test_carry_survives_passes_interleaved_across_timelines(self):
+        """A pass on another timeline does not drop the first timeline's
+        pending all-to-all combine."""
+        activations = [(CONFIG.num_experts - 1,)] * CONFIG.num_moe_blocks("decoder")
+        engine = make_engine("pregated", "switch_base_64", num_gpus=2)
+        first = ArrayTimeline(record_trace=True)
+        second = ArrayTimeline(record_trace=True)
+        engine.run_encoder_pass(activations, 4, timeline=first)
+        encoder_ops = first.num_ops
+        engine.run_encoder_pass(activations, 4, timeline=second)
+        engine.run_decoder_iteration(activations, timeline=first)
+        deps = first.ops[encoder_ops].depends_on
+        assert [first.ops[dep].name for dep in deps] == ["encoder0.moe5.combine"]
+
     def test_block_latency_ordering_matches_figure_10(self, single_iteration):
         """GPU-only < Pre-gated < OnDemand << Prefetch-all, per MoE block."""
         latencies = {}

@@ -10,8 +10,10 @@ maps — and with randomized workloads across regimes.  The invariants:
   aspect (``replay_windows == 0`` on the alternating traces);
 * anonymised expert identities are used only where they are sound: a
   plain placement replays rounds that rotate through equivalent experts,
-  but the same rotation over a retentive cache or a multi-GPU shard map
-  must stand down (identity feeds policy state / owner devices);
+  but the same rotation over a multi-GPU shard map must stand down
+  (identity decides owner devices);
+* a placement with an expert cache or DRAM stage never replays: the
+  controller stands down up front there;
 * whatever the controller decides, serving output matches the
   replay-disabled kernel exactly (parity is unconditional).
 """
@@ -80,8 +82,7 @@ class TestAlternatingRoundsNeverReplay:
         """A capacity-1 cache thrashed by two alternating experts.
 
         Every round misses and evicts the other expert, so the resident
-        set alternates {0} / {1}: the residency fixed-point check (and the
-        raw-key signatures) must keep replay out.
+        set alternates {0} / {1}; replay stands down on the cache.
         """
         out = 32
         req = crafted_request(0, [[i % 2] for i in range(out)])
@@ -136,8 +137,7 @@ class TestAnonymisationBoundary:
         (block, expert) key: every round hits after warmup and the round
         *structure* repeats, but the LRU order keeps mutating with
         different keys.  Anonymised matching would wrongly skip those
-        policy updates, so the controller must use raw identities and
-        stand down."""
+        policy updates; replay stands down on the cache."""
         out = 48
         req = crafted_request(0, [[i % 8] for i in range(out)])
         kernel, replayed = serve_pair(
@@ -162,19 +162,22 @@ class TestAnonymisationBoundary:
         assert replayed.replay_windows == 0
 
     def test_constant_expert_replays_everywhere(self):
-        """Control: a truly constant round replays on every placement."""
+        """Control: a truly constant round replays on every placement
+        without a residency map, and on none with one."""
         out = 48
         req = crafted_request(0, [[3]] * out)
-        for label, kwargs in [
-                ("plain", {}),
-                ("cached", {"cache_policy": "lru", "cache_capacity": 16}),
-                ("sharded", {"num_gpus": 2, "shard_policy": "round_robin"}),
+        for label, kwargs, replays in [
+                ("plain", {}, True),
+                ("cached", {"cache_policy": "lru", "cache_capacity": 16},
+                 False),
+                ("sharded", {"num_gpus": 2, "shard_policy": "round_robin"},
+                 True),
                 ("staged", {"system": SSD_SYSTEM, "stage_policy": "lru",
-                            "stage_capacity": 16})]:
+                            "stage_capacity": 16}, False)]:
             kernel, replayed = serve_pair("pregated", kwargs, [req],
                                           max_batch_size=1)
             assert_replay_parity(kernel, replayed, f"constant_{label}")
-            assert replayed.replay_windows > 0, label
+            assert (replayed.replay_windows > 0) == replays, label
 
 
 class TestRandomizedParityFuzz:

@@ -9,15 +9,15 @@ form instead of re-simulating each one.  These tests pin its contract:
   1e-9 on the makespan, every request's token clock, device utilisation
   and the byte/op counters (which must be *exactly* equal: replay may
   only skip rounds it can reproduce, never approximate counters);
-* replay engages across the whole placement matrix — plain single-GPU,
-  multi-GPU shards, DRAM staging and expert caches under every eviction
-  policy — whenever the workload reaches a steady state whose rounds are
-  structurally identical (for shards and retentive caches that is the
-  hot-expert regime: stable activations, identical hit/miss outcomes);
+* replay engages on plain single-GPU and multi-GPU shard placements
+  whenever the workload reaches a steady state whose rounds are
+  structurally identical (for shards that is the hot-expert regime:
+  stable activations, so a stable owner-device pattern);
 * it stands down, with exact parity preserved, when the steady state
-  genuinely churns (low-skew routing over a retentive cache: the
-  resident set / policy order drifts every round) or when trace
-  recording needs every op materialised;
+  genuinely churns (low-skew routing over a shard map), when trace
+  recording needs every op materialised, and up front on any placement
+  with an expert cache or DRAM stage (even at capacity 0): no controller
+  is built there;
 * boundary behaviour — staggered arrivals and completions land on the
   same timestamps with and without replay, i.e. fast-forward windows
   never cross an admission or completion event;
@@ -40,12 +40,12 @@ from repro.workloads import TimedRequest, TraceGenerator
 CONFIG = get_config("switch_base_64")
 
 #: Routing skew of the "mixed" regime: enough of a hot set for the plain
-#: scenarios' anonymised signatures to chain, but retentive caches and
-#: shard maps see churning keys and must stand down.
+#: scenarios' anonymised signatures to chain, but shard maps see churning
+#: owner devices and must stand down.
 MIXED_SKEW = 1.2
 #: Routing skew of the hot-expert steady state: decode rounds activate a
-#: stable expert set, so device patterns and hit/miss outcomes repeat and
-#: replay engages on every placement feature.
+#: stable expert set, so owner-device patterns repeat and replay engages
+#: on shard maps.
 HOT_SKEW = 8.0
 
 #: Single-replica serving matrix: design + scheduler knobs + whether replay
@@ -64,44 +64,38 @@ SCENARIOS = {
     "ondemand_4gpu": ("ondemand", {"num_gpus": 4,
                                    "shard_policy": "round_robin"}, True,
                       HOT_SKEW),
-    # DRAM stage / expert caches: hit/miss outcomes join the signature and
-    # the resident set plus eviction-policy state must be exactly
-    # replayable across the window — the warm steady state.
+    # DRAM stage / expert caches: replay stands down up front on any
+    # residency map, in every regime and at every capacity (0 included);
+    # serving must still match the replay-off kernel exactly.
     "pregated_ssd_staged": ("pregated", {"system": SSD_SYSTEM,
                                          "stage_policy": "lru",
-                                         "stage_capacity": 64}, True,
+                                         "stage_capacity": 64}, False,
                             HOT_SKEW),
     "pregated_cached": ("pregated", {"cache_policy": "lru",
-                                     "cache_capacity": 32}, True, HOT_SKEW),
+                                     "cache_capacity": 32}, False, HOT_SKEW),
     "pregated_cached_lifo": ("pregated", {"cache_policy": "lifo",
-                                          "cache_capacity": 32}, True,
+                                          "cache_capacity": 32}, False,
                              HOT_SKEW),
-    # LFU counts grow every round; the controller fast-forwards them as
-    # exact n*delta bumps, so eviction decisions after the window match.
     "pregated_cached_lfu": ("pregated", {"cache_policy": "lfu",
-                                         "cache_capacity": 32}, True,
+                                         "cache_capacity": 32}, False,
                             HOT_SKEW),
-    # Zero-capacity maps retain nothing between rounds (the parity
-    # scenarios): every round misses identically, so replay engages even
-    # in the mixed regime.
     "pregated_cached_cap0": ("pregated", {"cache_policy": "lru",
-                                          "cache_capacity": 0}, True,
+                                          "cache_capacity": 0}, False,
                              MIXED_SKEW),
     "pregated_staged_cap0": ("pregated", {"system": SSD_SYSTEM,
                                           "stage_policy": "lru",
-                                          "stage_capacity": 0}, True,
+                                          "stage_capacity": 0}, False,
                              MIXED_SKEW),
-    # Cached multi-GPU: shard ownership and residency outcomes both in play.
     "pregated_cached_2gpu": ("pregated", {"num_gpus": 2,
                                           "cache_policy": "lru",
-                                          "cache_capacity": 32}, True,
+                                          "cache_capacity": 32}, False,
                              HOT_SKEW),
-    # Honest stand-downs: churning keys over retentive maps drift the
-    # resident set / policy order every round, so no window is ever exactly
-    # replayable — the controller must keep out of the way.
     "pregated_cached_churn": ("pregated", {"cache_policy": "lru",
                                            "cache_capacity": 32}, False,
                               MIXED_SKEW),
+    # Honest stand-down: churning experts over a shard map flip the
+    # owner-device pattern, so no window is ever exactly replayable — the
+    # controller must keep out of the way.
     "pregated_2gpu_churn": ("pregated", {"num_gpus": 2}, False, MIXED_SKEW),
 }
 
@@ -165,8 +159,8 @@ class TestServeParityMatrix:
             assert replayed.replay_rounds >= replayed.replay_windows
             assert replayed.replay_ops > 0
         else:
-            # The steady state churns the maps: the controller must never
-            # fire — correctness over speed.
+            # A residency map or a churning shard pattern: the controller
+            # must never fire — correctness over speed.
             assert replayed.replay_windows == 0, name
             assert replayed.replay_ops == 0, name
 
@@ -190,10 +184,10 @@ class TestReplayEngagement:
         assert replayed.replay_ops > replayed.timeline_total_ops / 2
         assert replayed.replay_rounds > 0
 
-    @pytest.mark.parametrize("name", ["pregated_cached", "pregated_2gpu",
-                                      "pregated_ssd_staged"])
+    @pytest.mark.parametrize("name", ["pregated_2gpu"])
     def test_hot_steady_state_replays_meaningful_share(self, name):
-        """The newly covered placements replay a real share of the rounds."""
+        """Multi-GPU shards in the hot regime replay a real share of the
+        rounds."""
         design, kwargs, _, skew = SCENARIOS[name]
         requests = steady_requests(skew=skew)
         scheduler = make_scheduler(design, CONFIG, max_batch_size=2,
@@ -201,6 +195,31 @@ class TestReplayEngagement:
         replayed = scheduler.serve(requests)
         assert replayed.replay_windows > 0, name
         assert replayed.replay_ops > replayed.timeline_total_ops / 4, name
+
+    @pytest.mark.parametrize("knobs,mapped", [
+        ({"cache_policy": "lru", "cache_capacity": 0}, True),
+        ({"cache_policy": "lru", "cache_capacity": 32}, True),
+        ({"system": SSD_SYSTEM, "stage_policy": "lru", "stage_capacity": 0},
+         True),
+        ({"system": SSD_SYSTEM, "stage_policy": "lru", "stage_capacity": 64},
+         True),
+        # The tiered perf workload's placement: 2 GPUs, cache and stage.
+        ({"system": SSD_SYSTEM, "num_gpus": 2, "shard_policy": "round_robin",
+          "cache_policy": "lru", "cache_capacity": 64,
+          "stage_policy": "lru", "stage_capacity": 256}, True),
+        ({"num_gpus": 2}, False),
+    ], ids=["cache0", "cache32", "stage0", "stage64", "tiered_2gpu",
+            "unmapped_2gpu"])
+    def test_residency_maps_stand_down_up_front(self, knobs, mapped):
+        """Any cache or stage map, whatever its capacity: no controller."""
+        scheduler = make_scheduler("pregated", CONFIG, max_batch_size=2,
+                                   round_replay=True, **knobs)
+        result = scheduler.serve(steady_requests(n=2, out=8))
+        if mapped:
+            assert scheduler.last_replay is None
+            assert result.replay_standdowns == {}
+        else:
+            assert isinstance(scheduler.last_replay, _RoundReplay)
 
     def test_trace_recording_disables_replay(self):
         requests = steady_requests(n=2, out=24)

@@ -90,7 +90,6 @@ class ReferenceResidency:
         self.hits = self.misses = self.evictions = 0
         self.bytes_transferred = self.bytes_saved = 0
         self.peak_resident_experts = 0
-        self.epoch = 0
         self._seq = 0
 
     # -- queries (every one a scan) -------------------------------------
@@ -123,11 +122,6 @@ class ReferenceResidency:
         return (self.hits, self.misses, self.evictions, self.bytes_transferred,
                 self.bytes_saved, self.peak_resident_experts)
 
-    def replay_state(self) -> Tuple:
-        """The map's behavioural snapshot in its sorted-tuple form."""
-        return (tuple(sorted((entry.key, entry.pins) for entry in self.entries)),
-                self.policy.state(), self.peak_resident_experts)
-
     # -- lifecycle --------------------------------------------------------
     def pin(self, key: Key) -> bool:
         entry = self._find(key)
@@ -142,7 +136,6 @@ class ReferenceResidency:
                 if not self._evict_one():
                     break
         self._seq += 1
-        self.epoch += 1
         tag = f"reference:{key[0]}:{key[1]}:{self._seq}"
         self.pool.allocate(tag, self.expert_bytes,
                            allow_oversubscribe=self.allow_oversubscription)
@@ -186,7 +179,6 @@ class ReferenceResidency:
 
     def _drop(self, entry: ReferenceEntry, count_eviction: bool) -> None:
         self.entries.remove(entry)
-        self.epoch += 1
         self.policy.on_evict(entry.key)
         self.pool.free(entry.tag)
         if count_eviction:

@@ -228,38 +228,3 @@ def test_random_workload_invariants(policy):
         assert res.retained_count <= capacity
         assert res.pool.in_use == len(res) * EXPERT
         assert res.pool.in_use <= res.pool.capacity
-
-
-class TestReplaySnapshot:
-    """``replay_state()[0]`` compares resident sets and pins, not orders."""
-
-    @staticmethod
-    def reach(order, pinned):
-        """Insert ``order`` (retained), then pin each of ``pinned`` once."""
-        res = make_residency(capacity=8, policy="lru")
-        for key in order:
-            res.pin(key)
-            res.release(key)
-        for key in pinned:
-            res.pin(key)
-        return res
-
-    def test_insertion_order_does_not_matter(self):
-        keys = [(0, 1), (2, 3), (1, 0), (0, 4)]
-        a = self.reach(keys, [(2, 3), (0, 1), (2, 3)])
-        b = self.reach(keys[::-1], [(0, 1), (2, 3), (2, 3)])
-        assert a.resident_keys() != b.resident_keys()  # different dict orders
-        assert a.replay_state()[0] == b.replay_state()[0]
-
-    def test_pin_count_matters(self):
-        keys = [(0, 1), (2, 3), (1, 0)]
-        a = self.reach(keys, [(2, 3)])
-        b = self.reach(keys[::-1], [(2, 3), (2, 3)])
-        assert a.replay_state()[0] != b.replay_state()[0]
-        b.release((2, 3))
-        assert a.replay_state()[0] == b.replay_state()[0]
-
-    def test_resident_set_matters(self):
-        a = self.reach([(0, 1), (0, 2)], [])
-        b = self.reach([(0, 1), (0, 3)], [])
-        assert a.replay_state()[0] != b.replay_state()[0]
