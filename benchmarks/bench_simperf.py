@@ -1,149 +1,128 @@
-"""Simulator self-performance: throughput and memory of the serving loop.
+"""Simulator self-performance: wall-clock throughput of the serving loop.
 
 Unlike the figure benchmarks (which measure the *simulated* designs), this
-one measures the simulator itself and records the repo's perf trajectory:
-serving a decode-heavy pregated Switch-Base-128 load (per-request batch
-size 1 — the paper's serving mode) on the columnar timeline kernel
-(``ArrayTimeline``), it compares the serving modes:
+one times the simulator itself.  It serves a decode-heavy pregated
+Switch-Base-128 load one request at a time (the paper's serving mode;
+in 8 / out 96 tokens, routing skew 1.2, Poisson arrivals at 8 req/s) on
+the columnar timeline kernel in three modes:
 
-* ``trace``         — full op trace kept (Figure 9 mode);
 * ``kernel``        — incremental aggregates + op retirement;
-* ``kernel_replay`` — the kernel plus steady-state round replay;
-* ``kernel_probed`` — ``kernel`` with sampled observability probes on,
-  pinning the probe layer's overhead against the kernel floor.
+* ``kernel_probed`` — ``kernel`` with sampled observability probes on;
+* ``kernel_replay`` — the kernel plus steady-state round replay.
 
-Each run also measures the placement rung — multi-GPU serving in the
-hot-expert regime, where replay follows each expert's owner device.
-Replay stands down on expert caches and DRAM stages, so no cached
+A second rung serves a 2-GPU round-robin placement in the hot-expert
+regime (skew 12, out 192), where replay follows each expert's owner
+device.  Replay stands down on expert caches and DRAM stages, so no cached
 placement has a rung.
 
-The assertions pin the mode contract end-to-end: trace, kernel and
-probed simulate the *same* execution bit-for-bit (equal makespan, ops and
-token throughput); replay matches them to 1e-7 relative (1e-9 at test
-scale — the drift is float reassociation across closed-form windows)
-while skipping most decode rounds and running at least 5x faster than
-the replay-off kernel (the committed ``BENCH_simperf.json`` records
-11.8x / 13.7x at the 1.6k / 16k-request rungs of the scaling ladder);
-and on the multi-GPU placement rung replay engages and clears 5x over the
-replay-off kernel.
+Bars (plain asserts; no artifact is written):
 
-The default pytest run measures a few hundred requests (seconds); set
-``SIMPERF_QUICK=1`` for the CI smoke shape or ``SIMPERF_FULL=1`` to
-regenerate the committed artifact's full 1.6k/16k/100k/1M ladder
-(tens of minutes — the million-request rung alone is most of it).
-Only full runs overwrite ``BENCH_simperf.json`` — a smoke run must not
-replace the recorded scaling ladder.  ``python -m repro simperf`` runs the
-same measurement outside pytest.
+* probes observe, never perturb: ``kernel_probed`` is bit-identical to
+  ``kernel`` (the tier-1 twin is
+  ``tests/serving/test_simulation_performance.py``);
+* the kernel keeps fewer than a tenth of its ops resident;
+* replay matches the kernel's makespan to 1e-7 relative (1e-9 at test
+  scale — the drift is float reassociation across closed-form windows)
+  with equal op counts, engages, and runs at least 5x faster than the
+  replay-off kernel, on both rungs; on the first it skips over half the
+  ops;
+* throughput floors: 8 sim req/s for ``kernel`` and ``kernel_probed``,
+  80 for ``kernel_replay`` (~0.25x the recording machine, so honest
+  slowdowns trip them but runner jitter does not).
+
+Trace-mode parity (trace ≡ kernel; trace keeps every op) is deterministic
+and lives in tier-1.  Run with ``pytest benchmarks/bench_simperf.py -q -s``
+to see the measured values.
 """
 
 from __future__ import annotations
 
-import os
+import time
 
-from repro.analysis.simperf import (SIMPERF_FILENAME, run_simperf,
-                                    write_simperf)
-from repro.cli import main
+import numpy as np
 
-#: Committed at the repo root so the perf trajectory is versioned.
-OUTPUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           SIMPERF_FILENAME)
+from repro.moe.configs import get_config
+from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.workloads.arrivals import TimedRequest
+from repro.workloads.traces import TraceGenerator
 
+CONFIG = "switch_base_128"
+DESIGN = "pregated"
+REQUEST_RATE = 8.0
+REQUESTS = 120
+PLACEMENT_REQUESTS = 80
+PLACEMENT = {"num_gpus": 2, "shard_policy": "round_robin"}
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "False")
-
-
-def test_simperf_records_trajectory():
-    quick = _env_flag("SIMPERF_QUICK")
-    full = _env_flag("SIMPERF_FULL") and not quick
-    payload = run_simperf(quick=quick, full=full)
-    if full:
-        write_simperf(payload, os.path.abspath(OUTPUT_PATH))
-
-    speedups = payload["kernel_replay_speedup_over_kernel"]["scaling"]
-    for size, by_mode in payload["scaling"].items():
-        kernel = by_mode.get("kernel")
-        replay = by_mode.get("kernel_replay")
-        # Trace, kernel and probed modes are the SAME simulated execution:
-        # trace recording and probes observe the run, they must not change
-        # it.
-        for name in ("trace", "kernel_probed"):
-            exact = by_mode.get(name)
-            if exact is None or kernel is None:
-                continue
-            assert exact["makespan_seconds"] == kernel["makespan_seconds"]
-            assert exact["total_ops"] == kernel["total_ops"]
-            assert exact["sustained_tokens_per_second"] == \
-                kernel["sustained_tokens_per_second"]
-        trace = by_mode.get("trace")
-        if trace is not None:
-            # Trace keeps every op; the others retire them round by round.
-            assert trace["peak_resident_ops"] == trace["total_ops"]
-        if kernel is not None:
-            assert kernel["peak_resident_ops"] < kernel["total_ops"] / 10
-        # Replay simulates the same load while skipping most rounds.  The
-        # parity tests pin 1e-9 at test scale; across tens of thousands of
-        # closed-form windows the reassociated float sums drift a little
-        # further (observed ~3e-8 relative at the 16k rung), so the ladder
-        # bar is 1e-7 relative.
-        if replay is not None and kernel is not None:
-            rel = abs(replay["makespan_seconds"] - kernel["makespan_seconds"])
-            assert rel <= 1e-7 * kernel["makespan_seconds"]
-            assert replay["total_ops"] == kernel["total_ops"]
-            assert replay["replay_windows"] > 0
-            assert replay["replay_ops"] > replay["total_ops"] / 2
-            assert speedups[size] >= 5.0, speedups
-        for mode in by_mode.values():
-            assert mode["simulated_requests_per_second"] > 0
-            assert mode["wall_seconds"] > 0
-
-    # Placement rung: replay must engage and pay off on multi-GPU serving,
-    # with the same exact-counter parity as the plain scenario (the
-    # committed artifact records 13.6x).
-    placement_speedups = payload["kernel_replay_speedup_over_kernel"][
-        "placements"]
-    for name, rung in payload["placements"].items():
-        kernel, replay = rung["kernel"], rung["kernel_replay"]
-        rel = abs(replay["makespan_seconds"] - kernel["makespan_seconds"])
-        assert rel <= 1e-7 * kernel["makespan_seconds"], name
-        assert replay["total_ops"] == kernel["total_ops"], name
-        assert replay["replay_windows"] > 0, name
-        assert placement_speedups[name] >= 5.0, (name, placement_speedups)
-
-    print()
-    print(f"simperf ({payload['design']}/{payload['config']}, "
-          f"in={payload['scenario']['input_length']} "
-          f"out={payload['scenario']['output_length']} batch=1):")
-    for size, by_mode in sorted(payload["scaling"].items(),
-                                key=lambda kv: int(kv[0])):
-        for name, mode in by_mode.items():
-            print(f"  {int(size):>6} req {name:>13}: "
-                  f"{mode['simulated_requests_per_second']:8.1f} sim req/s  "
-                  f"{mode['peak_resident_ops']:>8} peak resident ops  "
-                  f"({mode['total_ops']} total ops, "
-                  f"{mode['replay_rounds']} replayed rounds)")
-    for size, speedup in sorted(speedups.items(), key=lambda kv: int(kv[0])):
-        print(f"  {int(size):>6} req kernel_replay speedup over kernel: "
-              f"{speedup:.1f}x")
-    for name, rung in payload["placements"].items():
-        print(f"  [{name}] {rung['requests']} req: "
-              f"kernel {rung['kernel']['simulated_requests_per_second']:.1f} "
-              f"-> replay "
-              f"{rung['kernel_replay']['simulated_requests_per_second']:.1f} "
-              f"sim req/s ({placement_speedups[name]:.1f}x, "
-              f"{rung['kernel_replay']['replay_rounds']} replayed rounds)")
+MODES = {
+    "kernel": {"round_replay": False},
+    "kernel_probed": {"round_replay": False, "probe_interval": 1.0},
+    "kernel_replay": {"round_replay": True},
+}
+FLOOR_REQ_PER_S = {"kernel": 8.0, "kernel_probed": 8.0,
+                   "kernel_replay": 80.0}
+REPLAY_SPEEDUP_BAR = 5.0
+REPLAY_DRIFT = 1e-7
 
 
-def test_simperf_cli_quick_smokes_without_writing_json(tmp_path, monkeypatch,
-                                                       capsys):
-    """``python -m repro simperf --quick``: every quick mode reported, the
-    floors hold, and no artifact is written."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["simperf", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "peak resident ops" in out
-    for mode in ("kernel", "kernel_replay", "kernel_probed"):
-        assert f" {mode} " in out
-    # Only --full (the recorded scaling ladder) writes the artifact — a
-    # smoke shape must never overwrite the committed trajectory.
-    assert not os.path.exists(tmp_path / SIMPERF_FILENAME)
+def build_requests(num_requests, skew=1.2, output_length=96):
+    traces = TraceGenerator(get_config(CONFIG), skew=skew, seed=0).workload(
+        num_requests, input_length=8, output_length=output_length)
+    arrivals = np.cumsum(np.random.default_rng(0).exponential(
+        1.0 / REQUEST_RATE, size=num_requests))
+    return [TimedRequest(request_id=i, arrival_time=float(arrivals[i]),
+                         trace=traces[i]) for i in range(num_requests)]
+
+
+def serve(mode, requests, **placement):
+    """Serve in one mode; only ``serve()`` is inside the timed region."""
+    scheduler = ContinuousBatchingScheduler(
+        DESIGN, CONFIG, max_batch_size=1, **MODES[mode], **placement)
+    started = time.perf_counter()
+    result = scheduler.serve(requests, offered_load=REQUEST_RATE)
+    return result, len(requests) / (time.perf_counter() - started)
+
+
+def check_replay(kernel, replay, label):
+    drift = abs(replay.makespan - kernel.makespan)
+    assert drift <= REPLAY_DRIFT * kernel.makespan, (label, drift)
+    assert replay.timeline_total_ops == kernel.timeline_total_ops, label
+    assert replay.replay_windows > 0, label
+
+
+def test_simperf():
+    requests = build_requests(REQUESTS)
+    runs = {mode: serve(mode, requests) for mode in MODES}
+    kernel = runs["kernel"][0]
+    probed, replay = runs["kernel_probed"][0], runs["kernel_replay"][0]
+    rates = {mode: rate for mode, (_, rate) in runs.items()}
+    print(f"\nsimperf ({DESIGN}/{CONFIG}, in=8 out=96 batch=1, "
+          f"{REQUESTS} requests):")
+    for mode, (result, rate) in runs.items():
+        print(f"  {mode:>13}: {rate:8.1f} sim req/s  "
+              f"{result.timeline_peak_live_ops:>6} peak resident ops  "
+              f"({result.timeline_total_ops} total ops, "
+              f"{result.replay_rounds} replayed rounds)")
+
+    hot = build_requests(PLACEMENT_REQUESTS, skew=12.0, output_length=192)
+    hot_kernel, hot_kernel_rate = serve("kernel", hot, **PLACEMENT)
+    hot_replay, hot_replay_rate = serve("kernel_replay", hot, **PLACEMENT)
+    speedup = rates["kernel_replay"] / rates["kernel"]
+    hot_speedup = hot_replay_rate / hot_kernel_rate
+    print(f"  kernel_replay over kernel: {speedup:.1f}x")
+    print(f"  [multi_gpu_hot] {PLACEMENT_REQUESTS} req: kernel "
+          f"{hot_kernel_rate:.1f} -> replay {hot_replay_rate:.1f} sim req/s "
+          f"({hot_speedup:.1f}x, {hot_replay.replay_rounds} replayed rounds)")
+
+    # Deterministic bars first, then the wall-clock ones.
+    assert probed.makespan == kernel.makespan
+    assert probed.timeline_total_ops == kernel.timeline_total_ops
+    assert probed.sustained_tokens_per_second == \
+        kernel.sustained_tokens_per_second
+    assert kernel.timeline_peak_live_ops < kernel.timeline_total_ops / 10
+    check_replay(kernel, replay, "scenario")
+    check_replay(hot_kernel, hot_replay, "multi_gpu_hot")
+    assert replay.replay_ops > replay.timeline_total_ops / 2
+    for mode, floor in FLOOR_REQ_PER_S.items():
+        assert rates[mode] >= floor, (mode, rates[mode], floor)
+    assert speedup >= REPLAY_SPEEDUP_BAR, speedup
+    assert hot_speedup >= REPLAY_SPEEDUP_BAR, hot_speedup

@@ -1,106 +1,136 @@
-"""Real-model tensor-path performance: the model engine's perf trajectory.
+"""Tensor-engine performance: train-step throughput per precision policy.
 
 Unlike the figure benchmarks (which measure the *simulated* designs) and
-``bench_simperf`` (which measures the discrete-event simulator), this one
-measures the numpy tensor engine the functional models run on: forward,
-train-step and batched greedy-decode throughput on a shape ladder under
-each precision policy (``pure_fp64`` / ``pure_fp32`` / ``mixed``), against
-the recorded pre-optimisation baseline in
-:data:`repro.analysis.tensorperf.RECORDED_EAGER_BASELINE`.
+``bench_simperf`` (which times the discrete-event simulator), this one
+times the numpy tensor engine the functional models train on: one
+fine-tuning step (forward, softmax–cross-entropy + aux loss, backward,
+gradient clipping, Adam) of a ``SwitchTransformer`` on random tokens, under
+the ``pure_fp64`` / ``pure_fp32`` / ``mixed`` precision policies.
 
-The assertions are :func:`repro.analysis.tensorperf.check_tensorperf`, the
-same bars the ``python -m repro tensorperf`` CLI enforces:
+Bars (plain asserts; no artifact is written):
 
-* ``pure_fp64`` is exactly the ambient default (0.0 loss/grad delta) and
-  ``pure_fp32`` / ``mixed`` stay within the documented deviation budgets;
-* train throughput stays above the recorded CI floor per precision on the
-  always-measured rungs (~0.4x the recording-machine measurement, so
-  honest regressions trip them but runner jitter does not);
-* on the serving-scale rung (``--full`` / ``TENSORPERF_FULL=1`` runs) the
-  engine clears **10x** the recorded pre-optimisation train-step
-  throughput, and ``mixed`` clears **1.8x** the same run's fp64 train
-  step;
-* on full runs, ``pure_fp64`` fine-tuning of ``switch_mini_8`` clears 30
-  exact-match points and ``mixed`` stays within 10 points of it on every
-  Table-II metric.
+* on the ``tiny`` (``tiny_moe_8``) and ``mini`` (``switch_mini_8``) rungs,
+  batch 16, 12 + 8 tokens, every policy's train throughput clears its
+  floor (~0.4x the recording machine, so honest regressions trip them but
+  runner jitter does not);
+* on the serving-scale rung (``tiny_moe_8``, batch 768, 24 + 16 tokens:
+  30 720 tokens per step), ``pure_fp64`` clears **10x** the train-step
+  throughput of the engine before it was vectorised (0.0442 steps/s,
+  recorded with the same best-of-N protocol), and ``mixed`` clears
+  **1.8x** ``pure_fp64``.  The 10x bar times ``pure_fp64`` alone, the
+  protocol the baseline was recorded with; the 1.8x ratio comes from one
+  paired run whose timing rounds interleave the two policies, so host
+  drift lands on both equally.
 
-The default pytest run measures the tiny and mini rungs (tens of seconds);
-set ``TENSORPERF_QUICK=1`` for the CI smoke shape or ``TENSORPERF_FULL=1``
-to regenerate the committed artifact's full ladder including the
-serving-scale rung and the accuracy-parity protocol (minutes).  Only full
-runs overwrite ``BENCH_tensorperf.json``.  ``python -m repro tensorperf``
-runs the same measurement outside pytest; the CLI smoke below drives it.
+Precision parity (loss/grad budgets, ``pure_fp64`` exactness) is
+deterministic and lives in tier-1 (``tests/tensor/test_precision.py``);
+accuracy parity of ``mixed`` lives in ``bench_table2_accuracy.py``.  Every
+time is the minimum over repetitions after one untimed warmup step — on a
+shared host the minimum approaches the true cost while means drift with
+co-tenant load.  Run with ``pytest benchmarks/bench_tensorperf.py -q -s``
+to see the measured values.
 """
 
 from __future__ import annotations
 
-import os
+import gc
+import time
 
-from repro.analysis.tensorperf import (TENSORPERF_FILENAME, check_tensorperf,
-                                       run_tensorperf, write_tensorperf)
-from repro.cli import main
+import numpy as np
 
-#: Committed at the repo root so the perf trajectory is versioned.
-OUTPUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           TENSORPERF_FILENAME)
+from repro.moe.configs import get_config
+from repro.moe.transformer import SwitchTransformer
+from repro.tensor import Adam, clip_grad_norm, use_precision
+from repro.tensor import functional as F
 
+PRECISIONS = ("pure_fp64", "pure_fp32", "mixed")
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "False")
+#: name -> (config, batch, input length, output length, repetitions)
+RUNGS = {
+    "tiny": ("tiny_moe_8", 16, 12, 8, 4),
+    "mini": ("switch_mini_8", 16, 12, 8, 3),
+}
+SERVING_RUNG = ("tiny_moe_8", 768, 24, 16, 4)
 
-
-def test_tensorperf_records_trajectory():
-    quick = _env_flag("TENSORPERF_QUICK")
-    full = _env_flag("TENSORPERF_FULL") and not quick
-    payload = run_tensorperf(quick=quick, full=full)
-    if full:
-        write_tensorperf(payload, os.path.abspath(OUTPUT_PATH))
-
-    for name, row in payload["ladder"].items():
-        for precision, metrics in row["cells"].items():
-            assert metrics["train_steps_per_s"] > 0, (name, precision)
-            assert metrics["forward_tokens_per_s"] > 0, (name, precision)
-            assert metrics["generate_tokens_per_s"] > 0, (name, precision)
-    failures = check_tensorperf(payload)
-    assert not failures, "\n".join(failures)
-
-    speedups = payload["speedup_over_recorded_baseline"]
-    print()
-    print("tensorperf (per precision, speedup vs recorded pre-optimisation "
-          "baseline):")
-    for name, row in payload["ladder"].items():
-        for precision, metrics in row["cells"].items():
-            speedup = speedups.get(name, {}).get("train_steps_per_s")
-            suffix = (f"  train speedup {speedup:5.1f}x"
-                      if precision == "pure_fp64" and speedup else "")
-            print(f"  {name:>13} {precision:>10}: "
-                  f"{metrics['train_steps_per_s']:8.2f} train steps/s  "
-                  f"{metrics['forward_tokens_per_s']:9.0f} fwd tok/s  "
-                  f"{metrics['generate_tokens_per_s']:8.0f} gen tok/s{suffix}")
-        mixed = payload["mixed_train_speedup_over_fp64"].get(name)
-        if mixed:
-            print(f"  {name:>13} mixed vs fp64 train: {mixed:.2f}x")
-    for precision, parity in payload["parity"]["precision"].items():
-        print(f"  precision parity [{precision} vs pure_fp64]: "
-              f"loss diff {parity['loss_abs_diff']:.1e}, "
-              f"grad diff {parity['grad_max_abs_diff']:.1e}")
-    if "accuracy_parity" in payload:
-        accuracy = payload["accuracy_parity"]
-        for precision, scores in accuracy["scores"].items():
-            print(f"  accuracy [{precision}]: exact match "
-                  f"{scores['exact_match']:.1f}, f1 {scores['f1']:.1f}")
+TRAIN_FLOOR_STEPS_PER_S = {
+    "pure_fp64": {"tiny": 18.0, "mini": 6.0},
+    "pure_fp32": {"tiny": 22.0, "mini": 8.0},
+    "mixed": {"tiny": 20.0, "mini": 7.0},
+}
+#: Serving-rung train steps/s of the engine before vectorisation (per-op
+#: graph, per-expert Python-loop dispatch, O(T²) scatter-matmul combine).
+RECORDED_SERVING_STEPS_PER_S = 0.0442
+SERVING_SPEEDUP_BAR = 10.0
+MIXED_SPEEDUP_BAR = 1.8
 
 
-def test_tensorperf_cli_quick_smokes_without_writing_json(tmp_path,
-                                                          monkeypatch, capsys):
-    """``python -m repro tensorperf --quick``: both always-on rungs and every
-    precision reported, the bars hold, and no artifact is written."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["tensorperf", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "train steps/s" in out
-    for token in ("tiny", "mini", "pure_fp64", "pure_fp32", "mixed"):
-        assert token in out
-    # Only --full (which adds the serving-scale rung) writes the
-    # artifact — a smoke shape must never overwrite the trajectory.
-    assert not os.path.exists(tmp_path / TENSORPERF_FILENAME)
+def build_trainer(rung, precision):
+    """Model, optimiser and fixed random batch for one rung and policy."""
+    config_name, batch, in_len, out_len, _ = rung
+    config = get_config(config_name)
+    rng = np.random.default_rng(0)
+    enc, dec, tgt = (rng.integers(1, config.vocab_size, size=(batch, length))
+                     for length in (in_len, out_len, out_len))
+    with use_precision(precision):
+        model = SwitchTransformer(config, seed=0).train()
+        opt = Adam(model.parameters(), lr=1e-4)
+
+    def train_step():
+        with use_precision(precision):
+            out = model(enc, dec)
+            loss = F.cross_entropy(out.logits, tgt, ignore_index=0)
+            loss = loss + out.aux_loss * 1e-2
+            model.zero_grad()
+            loss.backward()
+            clip_grad_norm(model.parameters(), 1.0)
+            opt.step()
+
+    return train_step
+
+
+def best_times(steps, reps):
+    """Per-key minimum wall time over ``reps`` interleaved rounds of
+    already-warm steps."""
+    times = {key: [] for key in steps}
+    for _ in range(reps):
+        for key, step in steps.items():
+            started = time.perf_counter()
+            step()
+            times[key].append(time.perf_counter() - started)
+    return {key: min(samples) for key, samples in times.items()}
+
+
+def test_train_floors_per_precision():
+    print("\ntensorperf train steps/s (floor):")
+    misses = []
+    for name, rung in RUNGS.items():
+        for precision in PRECISIONS:
+            gc.collect()
+            step = build_trainer(rung, precision)
+            step()
+            rate = 1.0 / best_times({precision: step}, rung[-1])[precision]
+            floor = TRAIN_FLOOR_STEPS_PER_S[precision][name]
+            print(f"  {name:>4} {precision:>9}: {rate:7.2f} ({floor:.0f})")
+            if rate < floor:
+                misses.append((name, precision, rate, floor))
+    assert not misses, misses
+
+
+def test_serving_rung_speedups():
+    gc.collect()
+    fp64 = build_trainer(SERVING_RUNG, "pure_fp64")
+    fp64()
+    # Timed alone first, as the baseline was: interleaving with a second
+    # model's steps slows this fp64 step by ~5%.
+    alone = best_times({"pure_fp64": fp64}, SERVING_RUNG[-1])["pure_fp64"]
+    mixed = build_trainer(SERVING_RUNG, "mixed")
+    mixed()
+    paired = best_times({"pure_fp64": fp64, "mixed": mixed}, 2)
+    fp64_speedup = 1.0 / alone / RECORDED_SERVING_STEPS_PER_S
+    mixed_speedup = paired["pure_fp64"] / paired["mixed"]
+    print(f"\ntensorperf serving rung: pure_fp64 alone {alone:.2f} s/step = "
+          f"{fp64_speedup:.2f}x the recorded baseline; paired pure_fp64 "
+          f"{paired['pure_fp64']:.2f} / mixed {paired['mixed']:.2f} s/step = "
+          f"{mixed_speedup:.2f}x")
+    assert fp64_speedup >= SERVING_SPEEDUP_BAR, fp64_speedup
+    assert mixed_speedup >= MIXED_SPEEDUP_BAR, mixed_speedup

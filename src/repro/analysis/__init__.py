@@ -1,7 +1,5 @@
 """Reporting and figure/table reconstruction helpers."""
 
-from .simperf import run_simperf, write_simperf
-from .tensorperf import run_tensorperf, write_tensorperf
 from .report import (
     FigureReport,
     LOAD_REPORT_COLUMNS,
@@ -20,10 +18,6 @@ __all__ = [
     "load_test_report",
     "normalise_series",
     "pick_reference",
-    "run_simperf",
-    "run_tensorperf",
     "to_csv",
     "write_csv",
-    "write_simperf",
-    "write_tensorperf",
 ]

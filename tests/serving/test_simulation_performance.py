@@ -5,9 +5,10 @@ Two contracts:
 * **Mode parity** — serving with ``record_trace=False`` (incremental
   aggregates + op retirement, the production default) reports *exactly* the
   same load metrics as trace mode, across designs, multi-GPU replicas and
-  SSD staging, with round replay off and on; and in trace mode, the
+  SSD staging, with round replay off and on; in trace mode, the
   incremental aggregates agree to 1e-9 with the test-only reference
-  timeline rescheduling the traced ops from scratch.
+  timeline rescheduling the traced ops from scratch; and sampled probes
+  observe a serve without perturbing it.
 * **Scaling regression** — with replay off and on, total op work grows ~linearly
   with request count while the resident-op window stays bounded (the fix
   for the accidental O(n²) makespan scans).
@@ -31,7 +32,7 @@ CONFIG = get_config("switch_base_64")
 
 
 def poisson_requests(num_requests: int, seed: int = 0, rate: float = 8.0,
-                     skew: float = 1.2):
+                     skew: float = 1.2, output_length: int = 4):
     """Timestamped requests with a Poisson arrival process."""
     rng = np.random.default_rng(seed + 1000)
     generator = TraceGenerator(CONFIG, skew=skew, seed=seed)
@@ -41,7 +42,8 @@ def poisson_requests(num_requests: int, seed: int = 0, rate: float = 8.0,
         arrival += float(rng.exponential(1.0 / rate))
         requests.append(TimedRequest(
             request_id=i, arrival_time=arrival,
-            trace=generator.request_trace(input_length=6, output_length=4)))
+            trace=generator.request_trace(input_length=6,
+                                          output_length=output_length)))
     return requests
 
 
@@ -100,6 +102,28 @@ class TestTraceNoTraceParity:
             traced.device_utilisation, abs=1e-9)
         if traced.tier_stats is not None:
             assert bare.tier_stats.as_dict() == traced.tier_stats.as_dict()
+
+    @REPLAY
+    @pytest.mark.parametrize("num_gpus,skew", ((1, 1.2), (2, 12.0)),
+                             ids=["1gpu", "2gpu_hot"])
+    def test_probes_observe_never_perturb(self, num_gpus, skew, replay):
+        """A probed serve is the unprobed serve, bit for bit."""
+        # Batch-1 requests with long generations, so replay engages.
+        requests = poisson_requests(6, skew=skew, output_length=24)
+        plain, probed = (
+            make_scheduler("pregated", CONFIG, max_batch_size=1,
+                           num_gpus=num_gpus, round_replay=replay,
+                           probe_interval=interval).serve(requests)
+            for interval in (None, 0.01))
+        assert len(probed.probes.gauge("timeline_ops")) > 10
+        assert (probed.replay_windows > 0) == replay
+        assert probed.makespan == plain.makespan
+        assert probed.timeline_total_ops == plain.timeline_total_ops
+        assert probed.timeline_peak_live_ops == plain.timeline_peak_live_ops
+        assert probed.replay_ops == plain.replay_ops
+        assert probed.alltoall_bytes == plain.alltoall_bytes
+        assert [(r.first_token_time, r.token_times) for r in probed.requests] \
+            == [(r.first_token_time, r.token_times) for r in plain.requests]
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_timeline_aggregates_identical(self, scenario):

@@ -238,14 +238,51 @@ def test_reduced_precision_within_tolerance_on_random_graphs(
 # ----------------------------------------------------------------------
 # Real-model parity within the documented budgets.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy", ["pure_fp32", "mixed"])
-def test_model_trainstep_within_documented_budgets(policy):
-    from repro.analysis.tensorperf import (PRECISION_GRAD_BUDGET,
-                                           PRECISION_LOSS_BUDGET,
-                                           measure_precision_parity)
-    parity = measure_precision_parity()[policy]
-    assert parity["loss_abs_diff"] <= PRECISION_LOSS_BUDGET[policy], parity
-    assert parity["grad_max_abs_diff"] <= PRECISION_GRAD_BUDGET[policy], parity
+#: Budgets for each policy's loss / gradient deviation from the ambient
+#: default on the parity protocol below (documented in DESIGN.md).  The
+#: measured deviations are ~2.5e-7 (loss) and ~1e-6 (grads); the budgets
+#: keep two orders of magnitude of headroom.  An explicit ``pure_fp64``
+#: *is* the default, so its budget is exactly 0.0.
+PRECISION_LOSS_BUDGET = {"pure_fp64": 0.0, "pure_fp32": 5e-5, "mixed": 5e-5}
+PRECISION_GRAD_BUDGET = {"pure_fp64": 0.0, "pure_fp32": 5e-4, "mixed": 5e-4}
+
+
+def _parity_train_step():
+    """Loss and fp64 copies of every grad for one deterministic
+    ``switch_mini_8`` step (batch 4, 6 encoder / 5 decoder tokens, seed 0)."""
+    config = get_config("switch_mini_8")
+    rng = np.random.default_rng(0)
+    enc = rng.integers(1, config.vocab_size, size=(4, 6))
+    dec = rng.integers(1, config.vocab_size, size=(4, 5))
+    tgt = rng.integers(1, config.vocab_size, size=(4, 5))
+    model = SwitchTransformer(config, seed=0).train()
+    out = model(enc, dec)
+    loss = F.cross_entropy(out.logits, tgt, ignore_index=0)
+    loss = loss + out.aux_loss * 1e-2
+    model.zero_grad()
+    loss.backward()
+    return float(loss.item()), [
+        None if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+        for p in model.parameters()]
+
+
+@pytest.fixture(scope="module")
+def default_trainstep():
+    return _parity_train_step()
+
+
+@pytest.mark.parametrize("policy", ["pure_fp64", "pure_fp32", "mixed"])
+def test_model_trainstep_within_documented_budgets(policy, default_trainstep):
+    loss_ref, grads_ref = default_trainstep
+    with use_precision(policy):
+        loss, grads = _parity_train_step()
+    grad_diff = 0.0
+    for got, ref in zip(grads, grads_ref):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            grad_diff = max(grad_diff, float(np.max(np.abs(got - ref))))
+    assert abs(loss - loss_ref) <= PRECISION_LOSS_BUDGET[policy]
+    assert grad_diff <= PRECISION_GRAD_BUDGET[policy]
 
 
 # ----------------------------------------------------------------------
