@@ -12,6 +12,10 @@ Two contracts:
 * **Scaling regression** — with replay off and on, total op work grows ~linearly
   with request count while the resident-op window stays bounded (the fix
   for the accidental O(n²) makespan scans).
+* **Bench rungs at test scale** — ``benchmarks/bench_simperf.py``'s two
+  loads, shrunk to a few requests, clear its deterministic bars: the kernel
+  keeps under a tenth of its ops resident, and replay engages and matches
+  the kernel (1e-9 relative makespan, equal op counts).
 """
 
 import numpy as np
@@ -186,3 +190,37 @@ class TestScalingRegression:
         result = sched.serve(poisson_requests(10, seed=4))
         assert result.timeline_peak_live_ops == result.timeline_total_ops
         assert sched.last_timeline.live_op_count == result.timeline_total_ops
+
+
+#: rung → (requests, routing skew, output length, placement), the shapes of
+#: ``benchmarks/bench_simperf.py`` with far fewer requests.
+SIMPERF_RUNGS = {
+    "scenario": (8, 1.2, 96, {}),
+    "multi_gpu_hot": (6, 12.0, 192, {"num_gpus": 2,
+                                     "shard_policy": "round_robin"}),
+}
+
+
+class TestSimperfRungs:
+    @pytest.mark.parametrize("rung", sorted(SIMPERF_RUNGS))
+    def test_kernel_retires_and_replay_matches(self, rung):
+        num_requests, skew, output_length, placement = SIMPERF_RUNGS[rung]
+        config = get_config("switch_base_128")
+        traces = TraceGenerator(config, skew=skew, seed=0).workload(
+            num_requests, input_length=8, output_length=output_length)
+        arrivals = np.cumsum(np.random.default_rng(0).exponential(
+            1.0 / 8.0, size=num_requests))
+        requests = [TimedRequest(request_id=i, arrival_time=float(arrivals[i]),
+                                 trace=traces[i])
+                    for i in range(num_requests)]
+        kernel, replay = (
+            make_scheduler("pregated", config, max_batch_size=1,
+                           round_replay=flag, **placement).serve(requests)
+            for flag in (False, True))
+        assert kernel.timeline_peak_live_ops < kernel.timeline_total_ops / 10
+        assert abs(replay.makespan - kernel.makespan) <= \
+            1e-9 * kernel.makespan
+        assert replay.timeline_total_ops == kernel.timeline_total_ops
+        assert replay.replay_windows > 0
+        if rung == "scenario":
+            assert replay.replay_ops > replay.timeline_total_ops / 2

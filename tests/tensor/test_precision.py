@@ -271,18 +271,51 @@ def default_trainstep():
     return _parity_train_step()
 
 
-@pytest.mark.parametrize("policy", ["pure_fp64", "pure_fp32", "mixed"])
-def test_model_trainstep_within_documented_budgets(policy, default_trainstep):
+@pytest.fixture(scope="module")
+def deviations(default_trainstep):
+    """policy -> (loss deviation, max grad deviation) from the default."""
     loss_ref, grads_ref = default_trainstep
-    with use_precision(policy):
-        loss, grads = _parity_train_step()
-    grad_diff = 0.0
+    result = {}
+    for policy in PR.POLICIES:
+        with use_precision(policy):
+            loss, grads = _parity_train_step()
+        grad_diff = 0.0
+        for got, ref in zip(grads, grads_ref):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                grad_diff = max(grad_diff, float(np.max(np.abs(got - ref))))
+        result[policy] = (abs(loss - loss_ref), grad_diff)
+    return result
+
+
+def test_every_policy_has_a_parity_budget():
+    assert sorted(PRECISION_LOSS_BUDGET) == sorted(PRECISION_GRAD_BUDGET) \
+        == sorted(PR.POLICIES)
+
+
+def test_parity_protocol_is_repeatable(default_trainstep):
+    """pure_fp64's exact 0.0 budget needs a bit-repeatable protocol."""
+    loss_ref, grads_ref = default_trainstep
+    loss, grads = _parity_train_step()
+    assert loss == loss_ref
     for got, ref in zip(grads, grads_ref):
-        assert (got is None) == (ref is None)
-        if got is not None:
-            grad_diff = max(grad_diff, float(np.max(np.abs(got - ref))))
-    assert abs(loss - loss_ref) <= PRECISION_LOSS_BUDGET[policy]
+        assert (got is None and ref is None) or np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("policy", ["pure_fp64", "pure_fp32", "mixed"])
+def test_model_trainstep_within_documented_budgets(policy, deviations):
+    loss_diff, grad_diff = deviations[policy]
+    assert loss_diff <= PRECISION_LOSS_BUDGET[policy]
     assert grad_diff <= PRECISION_GRAD_BUDGET[policy]
+
+
+@pytest.mark.parametrize("policy", ["pure_fp32", "mixed"])
+def test_reduced_policies_really_deviate(policy, deviations):
+    """A reduced policy that matched fp64 exactly would never have left
+    fp64, and its budget would bound nothing."""
+    loss_diff, grad_diff = deviations[policy]
+    assert loss_diff > 0.0
+    assert grad_diff > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("name", ["simperf", "tensorperf"])
+    def test_retired_perf_sweeps_rejected(self, name):
+        # Their bars live in benchmarks/bench_<name>.py now.
+        with pytest.raises(SystemExit):
+            main([name, "--quick"])
+
     def test_serving_load_quick_prints_report(self, capsys):
         assert main(["serving_load", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -62,6 +68,11 @@ class TestCli:
     def test_profile_rejected_with_worker_pool(self):
         with pytest.raises(SystemExit):
             main(["serving_load", "--quick", "--profile", "--workers", "2"])
+
+    def test_profile_accepts_one_worker(self, capsys):
+        assert main(["serving_load", "--quick", "--profile",
+                     "--workers", "1"]) == 0
+        assert "cumulative" in capsys.readouterr().out
 
     def test_seed_changes_report_but_is_reproducible(self, tmp_path):
         seed0a = tmp_path / "s0a.csv"
@@ -106,6 +117,19 @@ class TestTraceCommand:
         names = {row["name"] for row in rows if row["kind"] == "gauge"}
         assert {"queue_depth", "timeline_ops"} <= names
 
+    def test_trace_defaults_to_trace_json(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--quick"]) == 0
+        assert json.loads((tmp_path / "trace.json").read_text())[
+            "traceEvents"]
+
+    def test_trace_records_its_seed(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--quick", "--seed", "3", "--out",
+                     str(out)]) == 0
+        assert json.loads(out.read_text())["otherData"]["seed"] == 3
+
     def test_trace_rejects_workers(self):
         with pytest.raises(SystemExit):
             main(["trace", "--quick", "--workers", "2"])
@@ -126,6 +150,16 @@ class TestMetricsOut:
         assert all({"design", "rate", "kind", "name"} <= set(row)
                    for row in rows)
         assert {row["design"] for row in rows} == {"pregated", "ondemand"}
+
+    def test_expert_parallel_metrics_tagged_with_gpu_count(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "metrics.jsonl"
+        assert main(["expert_parallel", "--quick",
+                     "--metrics-out", str(path)]) == 0
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {(row["design"], row["num_gpus"]) for row in rows} == {
+            (design, gpus) for design in ("pregated", "ondemand")
+            for gpus in (1, 2)}
 
     def test_no_metrics_out_means_no_probe_columns(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
