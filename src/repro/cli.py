@@ -14,12 +14,9 @@ CI runs and the quickest way to see the simulator end-to-end without pytest:
 
 ``--quick`` shrinks the request count and grid for CI smoke runs;
 ``--seed N`` reseeds the sweep's workload and arrival process;
-``--workers N`` fans the sweep's grid cells out over a process pool (cells
-are independent simulations and the merged report is identical to the
-serial one); ``--metrics-out PATH`` exports every cell's sampled probe
-series as JSONL (or CSV when PATH ends in ``.csv``); ``--profile`` wraps
-the in-process sweep in :mod:`cProfile` and prints the 25
-highest-cumulative-time functions.
+``--metrics-out PATH`` exports every cell's sampled probe series as JSONL
+(or CSV when PATH ends in ``.csv``); ``--profile`` wraps the sweep in
+:mod:`cProfile` and prints the 25 highest-cumulative-time functions.
 """
 
 from __future__ import annotations
@@ -53,9 +50,6 @@ def _workload(quick: bool, seed: int = 0) -> WorkloadSpec:
                         routing_skew=1.5, seed=seed)
 
 
-# The grid cells run through repro.sweeps.run_grid, which may dispatch them
-# to a process pool — so the serve callables are top-level functions
-# (picklable), parameterised with functools.partial.
 def _serve_expert_parallel(design: str, num_gpus: int, quick: bool = False,
                            seed: int = 0, probes: bool = False):
     return serve_load(design, get_config("switch_base_64"),
@@ -84,8 +78,7 @@ def _export_grid_metrics(results: Dict, axis_names: List[str],
     write_metrics_rows(rows, path)
 
 
-def run_expert_parallel(quick: bool, workers: Optional[int] = None,
-                        seed: int = 0,
+def run_expert_parallel(quick: bool, seed: int = 0,
                         metrics_out: Optional[str] = None) -> FigureReport:
     """Design × num_gpus sweep on one expert-parallel replica."""
     designs = ("pregated", "ondemand") if quick else ("pregated", "ondemand",
@@ -93,7 +86,6 @@ def run_expert_parallel(quick: bool, workers: Optional[int] = None,
     gpu_counts = (1, 2) if quick else (1, 2, 4)
     results = run_grid(partial(_serve_expert_parallel, quick=quick, seed=seed,
                                probes=metrics_out is not None),
-                       max_workers=workers,
                        design=list(designs), num_gpus=list(gpu_counts))
     if metrics_out:
         _export_grid_metrics(results, ["design", "num_gpus"], metrics_out)
@@ -102,8 +94,7 @@ def run_expert_parallel(quick: bool, workers: Optional[int] = None,
         description="Design ordering across expert-parallel replica sizes")
 
 
-def run_serving_load(quick: bool, workers: Optional[int] = None,
-                     seed: int = 0,
+def run_serving_load(quick: bool, seed: int = 0,
                      metrics_out: Optional[str] = None) -> FigureReport:
     """Design × offered load on a single-GPU replica."""
     designs = ("pregated", "ondemand") if quick else ("pregated", "ondemand",
@@ -111,7 +102,6 @@ def run_serving_load(quick: bool, workers: Optional[int] = None,
     rates = (4.0,) if quick else (2.0, 8.0)
     results = run_grid(partial(_serve_load_cell, quick=quick, seed=seed,
                                probes=metrics_out is not None),
-                       max_workers=workers,
                        design=list(designs), rate=list(rates))
     if metrics_out:
         _export_grid_metrics(results, ["design", "rate"], metrics_out)
@@ -169,8 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="reseed the sweep's workload and arrival "
                              "process (default 0)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="run the sweep's grid cells on an N-process pool")
     parser.add_argument("--profile", action="store_true",
                         help="run the sweep under cProfile and print the top "
                              "25 functions by cumulative time")
@@ -183,15 +171,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="export sampled probe series as JSONL "
                              "(CSV when PATH ends in .csv)")
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.sweep == "trace" and args.workers is not None:
-        parser.error("trace serves one scenario; --workers does not apply")
     if args.out is not None and args.sweep != "trace":
         parser.error("--out only applies to the trace sweep")
-    if args.profile and args.workers is not None and args.workers > 1:
-        parser.error("--profile profiles the in-process sweep; it cannot "
-                     "see into --workers subprocesses")
     if args.sweep == "list":
         for name, runner in sorted(SWEEPS.items()):
             print(f"{name}: {runner.__doc__.strip().splitlines()[0]}")
@@ -201,8 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs = {"out": args.out if args.out is not None else TRACE_JSON,
                   "seed": args.seed or 0, "metrics_out": args.metrics_out}
     else:
-        kwargs = {"workers": args.workers, "seed": args.seed or 0,
-                  "metrics_out": args.metrics_out}
+        kwargs = {"seed": args.seed or 0, "metrics_out": args.metrics_out}
     if args.profile:
         report = profiled(runner, args.quick, **kwargs)
     else:

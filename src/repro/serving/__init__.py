@@ -15,10 +15,6 @@ Three-layer architecture:
 
 from .cluster import ClusterResult, ReplicaCluster, ROUTING_POLICIES
 from .engine import (
-    GPUOnlyEngine,
-    OnDemandEngine,
-    PreGatedEngine,
-    PrefetchAllEngine,
     ServingEngine,
     compare_designs,
     make_engine,
@@ -56,10 +52,6 @@ from .simulator import IterationSimulator, SharedExpertRound
 __all__ = [
     "DESIGN_LABELS",
     "EngineConfig",
-    "GPUOnlyEngine",
-    "OnDemandEngine",
-    "PreGatedEngine",
-    "PrefetchAllEngine",
     "ServingEngine",
     "compare_designs",
     "make_engine",

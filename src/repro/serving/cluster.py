@@ -5,7 +5,7 @@ users is served by fleets of identical replicas behind a router.  This
 module simulates that layer: each replica is one
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` (its own
 placement, memory pools and timeline), and the cluster assigns each arriving
-request to a replica with one of two policies:
+request to a replica with one of three policies:
 
 * ``round_robin`` — rotate through replicas in request-id order;
 * ``least_loaded`` — assign to the replica with the smallest estimated
@@ -26,19 +26,6 @@ request to a replica with one of two policies:
 
 Replicas run concurrently, so cluster throughput divides total generated
 tokens by the slowest replica's makespan.
-
-The replicas' simulations are independent, so :meth:`ReplicaCluster.serve`
-can fan them out over a process pool (``max_workers``).  The replica
-schedulers and the shared arrival stream travel to the workers as a
-*one-time payload* — inherited for free when workers fork, shipped once
-per worker through the pool initializer otherwise — and each work item is
-just ``(replica_id, request indices, offered_load)``, so no placement or
-trace data is re-pickled per replica.  Results are merged in replica-id
-order, making the parallel run bit-identical to the serial one.  The
-trade-off is that the parent process's scheduler objects are not mutated
-in parallel mode — cache warmth and memory-pool peaks accumulated
-*inside* a parallel ``serve`` stay in the workers — so serve sequentially
-when chaining load tests that must share replica state.
 """
 
 from __future__ import annotations
@@ -48,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..moe.configs import ModelConfig, get_config
-from ..sweeps import fork_start_method, ordered_pool_map
 from ..system.hardware import PAPER_SYSTEM, LinkSpec, SystemSpec
 from ..workloads.arrivals import TimedRequest
 from ..workloads.traces import RequestTrace
@@ -57,31 +43,6 @@ from .scheduler import ContinuousBatchingScheduler, EngineConfig
 
 ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware")
 
-
-#: One-time worker payload: ``(replica schedulers, shared request stream)``.
-#: Set in the parent before pool creation (inherited by forked workers) and
-#: re-set through the pool initializer where workers are spawned instead.
-_WORKER_PAYLOAD: "Optional[Tuple[list, list]]" = None
-
-
-def _set_worker_payload(payload) -> None:
-    """Install the shared serve payload (pool initializer / parent set-up)."""
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _serve_replica(item) -> "Tuple[int, LoadTestResult]":
-    """Serve one replica's assignment (module-level for process-pool pickling).
-
-    The item carries only indices into the shared arrival stream; the
-    schedulers and requests come from the one-time payload.
-    """
-    replica_id, indices, offered_load = item
-    replicas, requests = _WORKER_PAYLOAD
-    assigned = [requests[i] for i in indices]
-    return replica_id, replicas[replica_id].serve(assigned,
-                                                  offered_load=offered_load,
-                                                  replica=replica_id)
 
 #: Router-side affinity window when no cache capacity is configured.
 DEFAULT_AFFINITY_WINDOW = 256
@@ -126,34 +87,15 @@ class ReplicaCluster:
                  record_trace: bool = False,
                  round_replay: bool = True,
                  probe_interval: Optional[float] = None,
-                 span_log: bool = False,
-                 max_workers: Optional[int] = None) -> None:
+                 span_log: bool = False) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None for serial)")
         if policy not in ROUTING_POLICIES:
             raise ValueError(f"unknown policy {policy!r}; known: {ROUTING_POLICIES}")
         self.design = design
         self.config = get_config(config) if isinstance(config, str) else config
         self.policy = policy
         self.num_replicas = num_replicas
-        self.system = system
-        self.engine_config = engine_config
-        self.max_batch_size = max_batch_size
-        self.cache_policy = cache_policy
-        self.cache_capacity = cache_capacity
-        self.stage_policy = stage_policy
-        self.stage_capacity = stage_capacity
-        self.num_gpus = num_gpus
-        self.shard_policy = shard_policy
-        self.record_trace = record_trace
-        self.round_replay = round_replay
-        self.probe_interval = probe_interval
-        self.span_log = span_log
-        #: Process-pool width for :meth:`serve`; ``None``/1 serves the
-        #: replicas sequentially in-process.
-        self.max_workers = max_workers
         self.replicas = [
             ContinuousBatchingScheduler(design, self.config, system=system,
                                         engine_config=engine_config,
@@ -242,38 +184,16 @@ class ReplicaCluster:
         return assignments
 
     def serve(self, requests: Sequence[TimedRequest],
-              offered_load: Optional[float] = None,
-              max_workers: Optional[int] = None) -> ClusterResult:
+              offered_load: Optional[float] = None) -> ClusterResult:
         """Route and serve all requests; replicas simulate independently.
 
-        ``max_workers`` (defaulting to the constructor's value) > 1 serves
-        the replicas on a process pool.  The schedulers and the request
-        stream ship to the workers once (fork inheritance, or the pool
-        initializer on spawn platforms) and each work item is only
-        ``(replica_id, indices, offered_load)``.  Results are merged in
-        replica-id order, so parallel and serial runs produce identical
-        :class:`ClusterResult`\\ s; in parallel mode each worker operates
-        on its own copy of the schedulers, so the parent's replica objects
-        keep their pre-serve state (see the module docstring).
+        Each replica serves its assignment in replica-id order, so the
+        replicas' caches and memory-pool peaks carry over to the next
+        ``serve`` on the same cluster.
         """
         result = ClusterResult(design=self.design, config_name=self.config.name,
                                policy=self.policy, num_replicas=self.num_replicas)
-        workers = max_workers if max_workers is not None else self.max_workers
-        requests = list(requests)
-        index_of = {id(request): i for i, request in enumerate(requests)}
-        items = [(replica_id, [index_of[id(r)] for r in assigned], offered_load)
-                 for replica_id, assigned in enumerate(self.route(requests))]
-        payload = (self.replicas, requests)
-        if fork_start_method():
-            initializer, initargs = None, ()
-        else:
-            initializer, initargs = _set_worker_payload, (payload,)
-        _set_worker_payload(payload)
-        try:
-            for _, replica_result in ordered_pool_map(
-                    _serve_replica, items, workers,
-                    initializer=initializer, initargs=initargs):
-                result.replica_results.append(replica_result)
-        finally:
-            _set_worker_payload(None)
+        for replica_id, assigned in enumerate(self.route(requests)):
+            result.replica_results.append(self.replicas[replica_id].serve(
+                assigned, offered_load=offered_load, replica=replica_id))
         return result

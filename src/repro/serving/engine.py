@@ -1,21 +1,21 @@
-"""Serving engines for the four MoE inference system designs.
+"""Serving engine for the four MoE inference system designs.
 
-Each engine simulates serving of a (paper-scale) Switch-Transformer
+The engine simulates serving of a (paper-scale) Switch-Transformer
 configuration on a :class:`~repro.system.hardware.SystemSpec`, scheduling
 each pass's ops on a multi-stream timeline
 (:class:`~repro.system.timeline.ArrayTimeline` by default) to model the
-interaction between GPU compute and CPU→GPU expert migration:
+interaction between GPU compute and CPU→GPU expert migration.  The
+``design`` name selects the system:
 
-* :class:`GPUOnlyEngine` — the oracular baseline: every parameter resident
-  in GPU memory, no expert migration (OOMs when the model does not fit).
-* :class:`OnDemandEngine` — MoE-OnDemand: experts offloaded to host memory
-  and fetched after each block's gate, serialising selection, migration and
-  execution.
-* :class:`PrefetchAllEngine` — MoE-Prefetch (SE-MoE): the *entire* expert
-  set of the next block is transferred while the current block executes.
-* :class:`PreGatedEngine` — the paper's system: the pre-gate evaluated in
-  block *N* identifies the activated experts of block *N+1*, so only those
-  are transferred, overlapped with block *N*'s execution.
+* ``gpu_only`` — the oracular baseline: every parameter resident in GPU
+  memory, no expert migration (OOMs when the model does not fit).
+* ``ondemand`` — MoE-OnDemand: experts offloaded to host memory and fetched
+  after each block's gate, serialising selection, migration and execution.
+* ``prefetch_all`` — MoE-Prefetch (SE-MoE): the *entire* expert set of the
+  next block is transferred while the current block executes.
+* ``pregated`` — the paper's system: the pre-gate evaluated in block *N*
+  identifies the activated experts of block *N+1*, so only those are
+  transferred, overlapped with block *N*'s execution.
 
 An engine is the one-request-at-a-time front end of the serving stack (the
 paper's evaluation setting): a thin layer over a batch-1
@@ -48,15 +48,15 @@ from .scheduler import ContinuousBatchingScheduler, EngineConfig, RoundUnit
 
 
 class ServingEngine:
-    """Base class implementing the shared request-lifecycle machinery.
+    """The request-lifecycle machinery shared by every design.
 
-    Subclasses set :attr:`design` and the migration behaviour is selected
-    through :func:`repro.core.migration.plan_for_design`.
+    ``design`` (a :data:`~repro.serving.scheduler.DESIGN_LABELS` key)
+    selects the migration behaviour through
+    :func:`repro.core.migration.plan_for_design`.
     """
 
-    design: str = "base"
-
-    def __init__(self, config: "ModelConfig | str", system: SystemSpec = PAPER_SYSTEM,
+    def __init__(self, design: str, config: "ModelConfig | str",
+                 system: SystemSpec = PAPER_SYSTEM,
                  latency_model: Optional[GpuLatencyModel] = None,
                  engine_config: Optional[EngineConfig] = None,
                  cache_policy: Optional[str] = None,
@@ -68,13 +68,14 @@ class ServingEngine:
                  expert_weights: Optional[Sequence[float]] = None,
                  interconnect: Optional[LinkSpec] = None) -> None:
         self.scheduler = ContinuousBatchingScheduler(
-            self.design, config, system=system, latency_model=latency_model,
+            design, config, system=system, latency_model=latency_model,
             engine_config=engine_config, max_batch_size=1,
             cache_policy=cache_policy, cache_capacity=cache_capacity,
             stage_policy=stage_policy, stage_capacity=stage_capacity,
             num_gpus=num_gpus, shard_policy=shard_policy,
             expert_weights=expert_weights, interconnect=interconnect,
             round_replay=False)
+        self.design = self.scheduler.design
         self.config = self.scheduler.config
         self.system = self.scheduler.system
         self.placement = self.scheduler.placement
@@ -185,37 +186,6 @@ class ServingEngine:
         return result
 
 
-class GPUOnlyEngine(ServingEngine):
-    """Oracular upper bound: the entire model resident in GPU memory."""
-
-    design = "gpu_only"
-
-
-class OnDemandEngine(ServingEngine):
-    """MoE-OnDemand (HuggingFace-Accelerate-style fetch-on-demand offloading)."""
-
-    design = "ondemand"
-
-
-class PrefetchAllEngine(ServingEngine):
-    """MoE-Prefetch (SE-MoE): prefetch every expert of the next block."""
-
-    design = "prefetch_all"
-
-
-class PreGatedEngine(ServingEngine):
-    """The paper's Pre-gated MoE serving system."""
-
-    design = "pregated"
-
-
-_ENGINES = {
-    "gpu_only": GPUOnlyEngine,
-    "ondemand": OnDemandEngine,
-    "prefetch_all": PrefetchAllEngine,
-    "pregated": PreGatedEngine,
-}
-
 def make_engine(design: str, config: "ModelConfig | str", system: SystemSpec = PAPER_SYSTEM,
                 engine_config: Optional[EngineConfig] = None,
                 cache_policy: Optional[str] = None,
@@ -235,18 +205,16 @@ def make_engine(design: str, config: "ModelConfig | str", system: SystemSpec = P
     for SSD-offload systems (Figure 16's tier); ``num_gpus``/``shard_policy``
     shard the expert pool across an expert-parallel multi-GPU replica.
     """
-    if design not in _ENGINES:
-        raise ValueError(f"unknown design {design!r}; known: {sorted(_ENGINES)}")
-    return _ENGINES[design](config, system=system,
-                            engine_config=engine_config,
-                            cache_policy=cache_policy,
-                            cache_capacity=cache_capacity,
-                            stage_policy=stage_policy,
-                            stage_capacity=stage_capacity,
-                            num_gpus=num_gpus,
-                            shard_policy=shard_policy,
-                            expert_weights=expert_weights,
-                            interconnect=interconnect)
+    return ServingEngine(design, config, system=system,
+                         engine_config=engine_config,
+                         cache_policy=cache_policy,
+                         cache_capacity=cache_capacity,
+                         stage_policy=stage_policy,
+                         stage_capacity=stage_capacity,
+                         num_gpus=num_gpus,
+                         shard_policy=shard_policy,
+                         expert_weights=expert_weights,
+                         interconnect=interconnect)
 
 
 def compare_designs(config: "ModelConfig | str", traces: Sequence[RequestTrace],

@@ -795,16 +795,6 @@ class ContinuousBatchingScheduler:
         #: recording, span logging, or a residency map on the placement).
         self.last_replay: Optional[_RoundReplay] = None
 
-    def __getstate__(self):
-        # When a ReplicaCluster ships schedulers to process-pool workers,
-        # a previous serve's timeline (potentially a full op trace) is dead
-        # weight the worker never reads — drop it from the pickle, along
-        # with the replay controller's round history.
-        state = dict(self.__dict__)
-        state["last_timeline"] = None
-        state["last_replay"] = None
-        return state
-
     # ------------------------------------------------------------------
     def serve(self, requests: Sequence[Union[TimedRequest, RequestTrace]],
               offered_load: Optional[float] = None,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import ReplicaCluster, make_scheduler
-from repro.workloads import TimedRequest, TraceGenerator
+from repro.workloads import (POISSON_QA_LOAD, TimedRequest, TraceGenerator,
+                             WorkloadSpec, generate_timed_requests)
 
 CONFIG = get_config("switch_base_64")
 
@@ -94,3 +95,16 @@ class TestClusterServe:
         assert combined.makespan == pytest.approx(direct.makespan, abs=1e-9)
         for a, b in zip(combined.requests, direct.requests):
             assert a.completion_time == pytest.approx(b.completion_time, abs=1e-9)
+
+    def test_chained_serves_share_replica_state(self):
+        """A second serve on the same cluster starts from warm replica caches."""
+        workload = WorkloadSpec(name="chained", num_requests=6, input_length=6,
+                                output_length=3, routing_skew=1.2, seed=0)
+        load = POISSON_QA_LOAD.with_overrides(request_rate=12.0)
+        stream = generate_timed_requests(CONFIG, load, workload=workload)
+        cluster = ReplicaCluster("pregated", CONFIG, num_replicas=2,
+                                 cache_policy="lru", cache_capacity=64)
+        first = cluster.serve(stream, offered_load=12.0).combined()
+        second = cluster.serve(stream, offered_load=12.0).combined()
+        assert second.cache_stats.hits > first.cache_stats.hits
+        assert all(r.last_timeline is not None for r in cluster.replicas)

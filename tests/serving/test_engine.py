@@ -1,4 +1,4 @@
-"""Tests for the four serving engines and their interaction with the simulator."""
+"""Tests for the serving engine, its four designs and the simulator under it."""
 
 import gc
 import weakref
@@ -9,10 +9,7 @@ from repro.moe import get_config
 from repro.serving import (
     DESIGN_LABELS,
     EngineConfig,
-    GPUOnlyEngine,
-    OnDemandEngine,
-    PreGatedEngine,
-    PrefetchAllEngine,
+    ServingEngine,
     compare_designs,
     make_engine,
 )
@@ -40,10 +37,10 @@ def single_iteration():
 
 class TestFactory:
     def test_make_engine_by_name(self):
-        assert isinstance(make_engine("gpu_only", CONFIG), GPUOnlyEngine)
-        assert isinstance(make_engine("pregated", CONFIG), PreGatedEngine)
-        assert isinstance(make_engine("ondemand", CONFIG), OnDemandEngine)
-        assert isinstance(make_engine("prefetch_all", CONFIG), PrefetchAllEngine)
+        for design in DESIGNS:
+            engine = make_engine(design, CONFIG)
+            assert isinstance(engine, ServingEngine)
+            assert engine.design == engine.scheduler.design == design
 
     def test_unknown_design(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([name, "--quick"])
 
+    def test_retired_workers_flag_rejected(self):
+        # Sweeps serve in one process; there is no worker pool to size.
+        with pytest.raises(SystemExit):
+            main(["expert_parallel", "--quick", "--workers", "2"])
+
     def test_serving_load_quick_prints_report(self, capsys):
         assert main(["serving_load", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -43,18 +48,6 @@ class TestCli:
         # One row per design × gpu-count cell of the quick grid.
         assert len(text.strip().splitlines()) == 1 + 4
 
-    def test_workers_flag_matches_serial(self, tmp_path, capsys):
-        serial_csv = tmp_path / "serial.csv"
-        parallel_csv = tmp_path / "parallel.csv"
-        assert main(["serving_load", "--quick", "--csv", str(serial_csv)]) == 0
-        assert main(["serving_load", "--quick", "--workers", "2",
-                     "--csv", str(parallel_csv)]) == 0
-        assert serial_csv.read_text() == parallel_csv.read_text()
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serving_load", "--quick", "--workers", "0"])
-
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["serving_load", "--full"])
@@ -64,15 +57,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cumulative" in out          # pstats header
         assert "serving_load sweep" in out  # the report still renders
-
-    def test_profile_rejected_with_worker_pool(self):
-        with pytest.raises(SystemExit):
-            main(["serving_load", "--quick", "--profile", "--workers", "2"])
-
-    def test_profile_accepts_one_worker(self, capsys):
-        assert main(["serving_load", "--quick", "--profile",
-                     "--workers", "1"]) == 0
-        assert "cumulative" in capsys.readouterr().out
 
     def test_seed_changes_report_but_is_reproducible(self, tmp_path):
         seed0a = tmp_path / "s0a.csv"
@@ -129,10 +113,6 @@ class TestTraceCommand:
         assert main(["trace", "--quick", "--seed", "3", "--out",
                      str(out)]) == 0
         assert json.loads(out.read_text())["otherData"]["seed"] == 3
-
-    def test_trace_rejects_workers(self):
-        with pytest.raises(SystemExit):
-            main(["trace", "--quick", "--workers", "2"])
 
     def test_out_rejected_for_other_sweeps(self, tmp_path):
         with pytest.raises(SystemExit):

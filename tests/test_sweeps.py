@@ -1,38 +1,14 @@
-"""Tests for the shared sweep grid and its process-pool execution path."""
+"""Tests for the shared sweep grid."""
 
 import pytest
 
-import repro.serving.cluster as cluster_module
-from repro.serving.cluster import ReplicaCluster
-from repro.sweeps import open_loop, ordered_pool_map, run_grid
-from repro.workloads.arrivals import POISSON_QA_LOAD, generate_timed_requests
-from repro.workloads.generator import WorkloadSpec
-
-WORKLOAD = WorkloadSpec(name="sweep_test", num_requests=6, input_length=6,
-                        output_length=3, routing_skew=1.2, seed=0)
+from repro.sweeps import open_loop, run_grid
+from repro.workloads.arrivals import POISSON_QA_LOAD
 
 
 def combo_cell(a, b):
-    """Deterministic top-level cell (picklable for the process pool)."""
+    """Deterministic cell tagging its axis values."""
     return (a, b, a * 10 + b)
-
-
-def failing_cell(a, b):
-    raise RuntimeError(f"boom {a}{b}")
-
-
-#: Set by :func:`_install_shared` in each pool worker (or the test process
-#: on the serial path) to exercise the one-time-payload initializer hook.
-_SHARED = None
-
-
-def _install_shared(value):
-    global _SHARED
-    _SHARED = value
-
-
-def _read_shared(_item):
-    return _SHARED
 
 
 class TestRunGrid:
@@ -45,91 +21,7 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid(combo_cell)
 
-    def test_parallel_matches_serial(self):
-        serial = run_grid(combo_cell, a=[1, 2, 3], b=[4, 5])
-        parallel = run_grid(combo_cell, max_workers=3, a=[1, 2, 3], b=[4, 5])
-        assert serial == parallel
-        assert list(serial) == list(parallel)  # same declaration order
-
-    def test_single_cell_stays_serial(self):
-        # One combination never pays the pool spin-up.
-        assert run_grid(combo_cell, max_workers=8, a=[1], b=[2]) == {(1, 2): (1, 2, 12)}
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError):
-            run_grid(failing_cell, max_workers=2, a=[1, 2], b=[3])
-
     def test_open_loop_override(self):
         load = open_loop(12.5)
         assert load.request_rate == 12.5
         assert load.mode == POISSON_QA_LOAD.mode
-
-    def test_pool_initializer_ships_payload_once_per_worker(self):
-        # Every pooled call sees the payload installed by the initializer;
-        # the items themselves never carry it.
-        results = ordered_pool_map(_read_shared, [1, 2, 3, 4], max_workers=2,
-                                   initializer=_install_shared,
-                                   initargs=("payload",))
-        assert results == ["payload"] * 4
-
-    def test_serial_path_ignores_initializer(self):
-        # Serially the caller's process state is already in scope; the
-        # initializer must not clobber it.
-        _install_shared("parent-state")
-        try:
-            results = ordered_pool_map(_read_shared, [1], max_workers=4,
-                                       initializer=_install_shared,
-                                       initargs=("pool-only",))
-            assert results == ["parent-state"]
-        finally:
-            _install_shared(None)
-
-
-class TestParallelCluster:
-    def _requests(self):
-        load = POISSON_QA_LOAD.with_overrides(request_rate=12.0)
-        return generate_timed_requests("switch_base_64", load, workload=WORKLOAD)
-
-    @pytest.mark.parametrize("policy", ("round_robin", "least_loaded"))
-    def test_parallel_serve_matches_serial(self, policy):
-        requests = self._requests()
-        serial = ReplicaCluster("pregated", "switch_base_64", num_replicas=3,
-                                policy=policy).serve(requests, offered_load=12.0)
-        parallel = ReplicaCluster("pregated", "switch_base_64", num_replicas=3,
-                                  policy=policy, max_workers=3).serve(
-                                      requests, offered_load=12.0)
-        assert serial.combined().summary() == parallel.combined().summary()
-        # Per-replica results line up in replica-id order in both modes.
-        for left, right in zip(serial.replica_results, parallel.replica_results):
-            assert left.makespan == pytest.approx(right.makespan, abs=1e-9)
-            assert [r.request_id for r in left.requests] == \
-                [r.request_id for r in right.requests]
-
-    def test_serve_override_beats_constructor(self):
-        requests = self._requests()
-        cluster = ReplicaCluster("ondemand", "switch_base_64", num_replicas=2,
-                                 max_workers=2)
-        serial = cluster.serve(requests, max_workers=1)
-        parallel = cluster.serve(requests)  # constructor's pool width
-        assert serial.combined().summary() == parallel.combined().summary()
-
-    def test_invalid_max_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaCluster("pregated", "switch_base_64", num_replicas=2,
-                           max_workers=0)
-
-    def test_serve_clears_shared_payload(self):
-        # The one-time payload is scoped to the serve call: holding the
-        # schedulers and request stream alive afterwards would leak them.
-        requests = self._requests()
-        cluster = ReplicaCluster("pregated", "switch_base_64", num_replicas=2,
-                                 max_workers=2)
-        cluster.serve(requests)
-        assert cluster_module._WORKER_PAYLOAD is None
-
-    def test_single_replica_never_pools(self):
-        requests = self._requests()
-        result = ReplicaCluster("pregated", "switch_base_64", num_replicas=1,
-                                max_workers=4).serve(requests)
-        assert result.num_replicas == 1
-        assert len(result.replica_results) == 1
