@@ -4,6 +4,7 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import ReplicaCluster, make_scheduler
+from repro.serving.cluster import ROUTING_POLICIES
 from repro.workloads import (POISSON_QA_LOAD, TimedRequest, TraceGenerator,
                              WorkloadSpec, generate_timed_requests)
 
@@ -108,3 +109,35 @@ class TestClusterServe:
         second = cluster.serve(stream, offered_load=12.0).combined()
         assert second.cache_stats.hits > first.cache_stats.hits
         assert all(r.last_timeline is not None for r in cluster.replicas)
+
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
+    def test_fresh_clusters_serve_identically(self, requests, policy):
+        results = [ReplicaCluster("pregated", CONFIG, num_replicas=3,
+                                  policy=policy).serve(requests, offered_load=12.0)
+                   for _ in range(2)]
+        assert results[0].summary() == results[1].summary()
+        for left, right in zip(results[0].replica_results,
+                               results[1].replica_results):
+            assert left.makespan == right.makespan
+            assert [r.request_id for r in left.requests] == \
+                [r.request_id for r in right.requests]
+
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
+    def test_replica_results_follow_the_route(self, requests, policy):
+        cluster = ReplicaCluster("pregated", CONFIG, num_replicas=3, policy=policy)
+        routed = cluster.route(requests)
+        result = cluster.serve(requests)
+        assert len(result.replica_results) == 3
+        for replica_id, (assigned, served) in enumerate(
+                zip(routed, result.replica_results)):
+            assert sorted(r.request_id for r in served.requests) == \
+                sorted(r.request_id for r in assigned)
+            assert all(r.replica == replica_id for r in served.requests)
+
+    def test_max_workers_no_longer_accepted(self, requests):
+        # Replicas serve in one process; there is no pool width to set.
+        with pytest.raises(TypeError):
+            ReplicaCluster("pregated", CONFIG, num_replicas=2, max_workers=2)
+        cluster = ReplicaCluster("pregated", CONFIG, num_replicas=2)
+        with pytest.raises(TypeError):
+            cluster.serve(requests, max_workers=1)

@@ -46,6 +46,19 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_engine("multi_gpu", CONFIG)
 
+    def test_engine_rejects_unknown_design(self):
+        with pytest.raises(ValueError):
+            ServingEngine("multi_gpu", CONFIG)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_engine_takes_design_directly(self, design, traces):
+        direct = ServingEngine(design, CONFIG)
+        assert direct.design == design
+        via_factory = make_engine(design, CONFIG).run_request(traces[0])
+        result = direct.run_request(traces[0])
+        assert result.total_time == via_factory.total_time
+        assert result.peak_gpu_bytes == via_factory.peak_gpu_bytes
+
     def test_config_by_name(self):
         engine = make_engine("pregated", "switch_base_8")
         assert engine.config.name == "switch_base_8"
